@@ -46,12 +46,29 @@ TRACE_ROUNDS = {"exact-algebra": 20, "certified-norms": 20, "certified-solve": 3
                 "cli-roundtrip": 40}
 
 
+def _bdtk_entries() -> list[str]:
+    return [m for m in sys.modules if m == "bdtk" or m.startswith("bdtk.")]
+
+
 def load_bdtk() -> SimpleNamespace:
-    """Import bdtk afresh, so module-level caches start empty."""
-    for name in [m for m in sys.modules if m == "bdtk" or m.startswith("bdtk.")]:
+    """Import bdtk afresh, so module-level caches start empty.  The returned
+    namespace keeps the import's sys.modules entries in `loaded`, for
+    use_bdtk()."""
+    for name in _bdtk_entries():
         del sys.modules[name]
     importlib.import_module("bdtk")
-    return SimpleNamespace(**{m: importlib.import_module(f"bdtk.{m}") for m in MODULES})
+    bk = SimpleNamespace(**{m: importlib.import_module(f"bdtk.{m}") for m in MODULES})
+    bk.loaded = {name: sys.modules[name] for name in _bdtk_entries()}
+    return bk
+
+
+def use_bdtk(bk) -> None:
+    """Point sys.modules at the import `bk`.  Library functions that import
+    inside their bodies (`from .bdt import ...`) resolve through sys.modules,
+    so with two imports loaded they would otherwise mix classes of both."""
+    for name in _bdtk_entries():
+        del sys.modules[name]
+    sys.modules.update(bk.loaded)
 
 
 def set_up(make_round, seed: int, workdir: Path) -> tuple[SimpleNamespace, float]:
@@ -88,6 +105,7 @@ class Tally:
 
 
 def run_round(make_round, bk, seed: int, r: int, workdir: Path, tally: Tally, tracer=None):
+    use_bdtk(bk)
     ops = make_round(bk, seed, r, workdir)
     gc.collect()
     results = []
@@ -177,6 +195,12 @@ def traced(make_round, args, workdir: Path) -> int:
     for r in range(rounds):
         run_round(make_round, plain_bk, args.seed, r, workdir, plain)
         run_round(make_round, bk, args.seed, r, workdir, tally, tracer)
+    # both imports ran the same operations on the same inputs, so they must
+    # fail and pass alike; otherwise the overhead compares unequal work
+    if plain.failed != tally.failed:
+        tally.errors.append(f"untraced rounds failed {dict(plain.failed)}, "
+                            f"traced rounds {dict(tally.failed)}")
+    tally.errors += [f"untraced {msg}" for msg in plain.errors]
     metrics = tracer.metrics()
     overhead = tally.wall - plain.wall
     OUT.mkdir(exist_ok=True)

@@ -4,10 +4,11 @@ end-to-end metric, the median with its unit and the spread (third minus first
 quartile, as a share of the median) of the values, and the operations
 attempted and failed.
 
-    python3 perfbench/spread.py --seeds 1-10 [--seconds 15] [--workload NAME ...]
+    python3 perfbench/spread.py --seeds 1-10
     python3 perfbench/spread.py --seeds 7      # one run of every workload
 
-Runs are sequential, one process at a time.  Each run's result line is
+Every run lasts BENCHMARK.json's run_seconds, the length the bounds are set
+for.  Runs are sequential, one process at a time.  Each run's result line is
 appended to perfbench/out/spread.jsonl.
 """
 
@@ -32,21 +33,18 @@ def main() -> int:
     bench = json.loads((HERE.parent / "BENCHMARK.json").read_text())
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--seeds", type=seeds, default=seeds("1-10"))
-    p.add_argument("--seconds", type=int, default=bench["run_seconds"])
-    p.add_argument("--workload", action="append")
     args = p.parse_args()
-    names = args.workload or [w["name"] for w in bench["workloads"]]
     bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     log = HERE / "out" / "spread.jsonl"
     log.parent.mkdir(exist_ok=True)
-    for name in names:
+    for name in [w["name"] for w in bench["workloads"]]:
         values: dict[str, list[float]] = {}
         units: dict[str, str] = {}
         shares = set()
         attempted = failed = 0
         for seed in args.seeds:
             cmd = [sys.executable, str(HERE / "run.py"), "--workload", name, "--seed", str(seed),
-                   "--seconds", str(args.seconds), "--trace", "0"]
+                   "--seconds", str(bench["run_seconds"]), "--trace", "0"]
             out = subprocess.run(cmd, capture_output=True, text=True, check=True).stdout
             res = json.loads(out.strip().splitlines()[-1])
             with log.open("a") as fh:

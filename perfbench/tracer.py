@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import sys
 import time
 import types
 from collections import defaultdict
@@ -117,12 +116,11 @@ class Tracer:
         return wrapper
 
     def install(self, bk) -> None:
-        """Wrap the public functions of every layer in every loaded bdtk
-        module that binds them, and the Scalar and ScalarMatrix methods of
-        `bk` (the namespace of loaded bdtk modules)."""
+        """Wrap the public functions of every layer in every module of the
+        bdtk import `bk` that binds them, and its Scalar and ScalarMatrix
+        methods."""
         done: dict[int, object] = {}
-        modules = [m for name, m in sys.modules.items() if name.partition(".")[0] == "bdtk"]
-        for mod in modules:
+        for mod in bk.loaded.values():
             for name, fn in list(vars(mod).items()):
                 if (name.startswith("_") or not isinstance(fn, types.FunctionType)
                         or getattr(fn, "traced", False)):
