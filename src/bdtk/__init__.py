@@ -61,7 +61,6 @@ from .calculus import (
 )
 from .compact import (
     CompactMatrix,
-    k_algebra,
     k_dK,
     k_mn_norm,
     k_rho,
@@ -95,7 +94,6 @@ from .ulc import (
     ulc,
     ulc_character,
     ulc_eval,
-    ulc_pointwise,
     ulc_shift,
     ulc_sup_norm,
 )

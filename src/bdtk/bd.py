@@ -204,10 +204,6 @@ def bd_positive_part(b: BdElement) -> BdElement:
     return bd_element(b.S, {n: f for n, f in b.bands.items() if n >= 0})
 
 
-def bd_negative_part(b: BdElement) -> BdElement:
-    return bd_element(b.S, {n: f for n, f in b.bands.items() if n < 0})
-
-
 def bd_apply(b: BdElement, window: range) -> ScalarMatrix:
     """Matrix of b on the two-sided basis restricted to the window:
     entry (k, s) = f_{k-s}(s)."""
@@ -220,10 +216,6 @@ def bd_apply(b: BdElement, window: range) -> ScalarMatrix:
                 if not v.is_zero():
                     ent[(k, s)] = v
     return ScalarMatrix(ent)
-
-
-def bd_apply_numpy(b: BdElement, window: range) -> np.ndarray:
-    return bd_apply(b, window).to_numpy(window, window)
 
 
 def bd_symbol(b: BdElement) -> bloch.SymbolMatrix:
@@ -258,10 +250,6 @@ def bd_p_norm(b: BdElement, P: int, tol: float) -> float:
     return total
 
 
-def bd_p_norm_error_bound(P: int, tol: float) -> float:
-    return tol * 2 ** P
-
-
 def bd_sup_coefficient_norm(b: BdElement) -> float:
     """max_n sup|f_n| (cheap upper-bound building block)."""
     return max((ulc_sup_norm(f) for f in b.bands.values()), default=0.0)
@@ -279,7 +267,8 @@ def bd_truncation_smax(b: BdElement, N: int) -> float:
     W = b.bandwidth
     if 2 * W + 1 >= N:
         window = range(lo, lo + N)
-        return float(np.linalg.svd(bd_apply_numpy(b, window), compute_uv=False)[0])
+        A = bd_apply(b, window).to_numpy(window, window)
+        return float(np.linalg.svd(A, compute_uv=False)[0])
     import scipy.linalg as sla
 
     cols = {}

@@ -27,6 +27,7 @@ from .bd import (
     bd_mul,
     bd_one,
     bd_rho,
+    bd_scalar,
     bd_scale,
     bd_v,
     bd_zero,
@@ -110,8 +111,6 @@ def bdt_from_compact(S: Supernatural, c: CompactMatrix) -> BdtElement:
 
 
 def bdt_scalar(S: Supernatural, z) -> BdtElement:
-    from .bd import bd_scalar
-
     return BdtElement(bd_scalar(S, z), k_zero())
 
 
@@ -241,10 +240,6 @@ def bdt_truncate(a: BdtElement, N: int) -> ScalarMatrix:
     return out
 
 
-def bdt_truncate_numpy(a: BdtElement, N: int) -> np.ndarray:
-    return bdt_truncate(a, N).to_numpy(range(N), range(N))
-
-
 def bdt_window_numpy(a: BdtElement, rows: int, cols: int) -> np.ndarray:
     """Rectangular corner [0, rows) x [0, cols) as a dense complex matrix."""
     out = np.zeros((rows, cols), dtype=complex)
@@ -265,11 +260,3 @@ def bdt_equal(a1: BdtElement, a2: BdtElement, tol: float = FLOAT_EQ_TOL) -> bool
 
 def bdt_is_selfadjoint(a: BdtElement, tol: float = FLOAT_EQ_TOL) -> bool:
     return bdt_equal(a, bdt_adjoint(a), tol)
-
-
-def bdt_norm_upper(a: BdtElement, tol: float = 1e-9) -> float:
-    """Upper bound ||T(b)|| + ||c|| <= ||b|| + ||c|| (T is a compression)."""
-    from .bd import bd_norm
-
-    sym = 0.0 if a.symbol.is_zero() else bd_norm(a.symbol, tol) + tol
-    return sym + a.compact.mat.smax()

@@ -27,6 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ToleranceUnreachableError
+
 _TWO_PI = 2.0 * np.pi
 
 
@@ -261,17 +263,22 @@ def certified_sup_smax(sym: SymbolMatrix, tol: float) -> float:
     Otherwise m rises to the largest evaluated value (by more than tol/2) and
     the next level is tried.  When the root test is inconclusive, its
     candidate angles are evaluated the same way and m is raised if they beat
-    it; if they do not, no certificate is given and RuntimeError is raised."""
+    it; if they do not, no certificate is given and ToleranceUnreachableError
+    is raised.  A symbol whose Gram coefficients overflow is out of range
+    (ValueError)."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     W = sym.wrap_degree()
     if W == 0:
         return _smax_at(sym, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        H = _gram_coeffs(sym)
+    if not all(np.isfinite(A).all() for A in H.values()):
+        raise ValueError("symbol out of range: B^* B overflows double precision")
     G = 256
     while G < 8 * (2 * W + 1):
         G *= 2
     m = float(np.max(_smax_batch(sym.at_many(np.arange(G) / G))))
-    H = _gram_coeffs(sym)
     for _ in range(64):
         lam = m + 0.5 * tol
         angles, certified = _level_root_angles(sym, lam, H)
@@ -285,7 +292,7 @@ def certified_sup_smax(sym: SymbolMatrix, tol: float) -> float:
         if s <= m:
             break
         m = s
-    raise RuntimeError("operator-norm certification did not converge")
+    raise ToleranceUnreachableError("operator-norm certification did not converge")
 
 
 def symbol_invertibility(sym: SymbolMatrix, delta: float = 1e-8) -> tuple[bool, float]:

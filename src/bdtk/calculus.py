@@ -22,8 +22,8 @@ from . import bloch
 from .arith import Supernatural, INF
 from .bd import (
     BdElement,
+    bd_delta_L_power,
     bd_element,
-    bd_equal,
     bd_is_selfadjoint,
     bd_mul,
     bd_norm,
@@ -43,12 +43,15 @@ from .bdt import (
     bdt_mul,
     bdt_one,
     bdt_scale,
+    bdt_window_numpy,
+    compact_times_toeplitz,
+    correction,
     toeplitz,
 )
-from .compact import CompactMatrix, k_add, k_dK_power, k_scale, k_to_numpy, k_zero
+from .compact import CompactMatrix, k_add, k_dK_power, k_mn_norm, k_to_numpy, k_zero
 from .errors import NotInvertibleError, ToleranceUnreachableError
 from .scalars import Scalar
-from .ulc import ulc, ulc_zero
+from .ulc import ulc, ulc_shift, ulc_sup_norm
 
 _DEFAULT_S = Supernatural({2: INF})
 
@@ -95,8 +98,6 @@ def bd_invert(b: BdElement, tol: float, max_band: int) -> CertifiedElement:
         # exact monomial inverse: (V^n m_f)^{-1} = V^{-n} m_{1/(f o phi^{-n})}
         ((n, f),) = b.bands.items()
         if all(not v.is_zero() for v in f.values):
-            from .ulc import ulc_shift
-
             shifted = ulc_shift(f, -n)
             g = ulc([v.inverse() for v in shifted.values])
             return CertifiedElement(
@@ -144,8 +145,6 @@ def bdt_invert(a: BdtElement, tol: float, sizes) -> CertifiedElement:
     of T(b~).  Both one-sided defects are then evaluated exactly and certified;
     r >= 1 on the full schedule means the element is not invertible (e.g. a
     nonzero Fredholm index)."""
-    from .bdt import bdt_truncate_numpy, compact_times_toeplitz, correction, toeplitz_times_compact
-
     sizes = list(sizes)
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -168,15 +167,18 @@ def bdt_invert(a: BdtElement, tol: float, sizes) -> CertifiedElement:
     k_fin = k_add(correction(b, binv), compact_times_toeplitz(c, binv))
     cols = sorted({s for (_, s) in k_fin.entries})
     norm_tol = max(min(tol, 1e-9) / 8.0, 1e-14)
-    banded_defect = bd_sub(bd_mul(b, binv), bd_one(b.S))
-    banded_norm = 0.0 if banded_defect.is_zero() else bd_norm(banded_defect, norm_tol) + norm_tol
+    # the symbols of a x and x a are b b~ and b~ b at every truncation size,
+    # so both banded defects are certified once
+    right_defect = bd_sub(bd_mul(b, binv), bd_one(b.S))
+    left_defect = bd_sub(bd_mul(binv, b), bd_one(b.S))
+    right_norm, left_norm = (0.0 if d.is_zero() else bd_norm(d, norm_tol) + norm_tol
+                             for d in (right_defect, left_defect))
 
     best = None
-    prev_sol = None
     for N in sizes:
         ctilde = k_zero()
         if cols:
-            A_N = bdt_truncate_numpy(a, N)
+            A_N = bdt_window_numpy(a, N, N)
             rhs = np.zeros((N, len(cols)), dtype=complex)
             for (k, s), v in k_fin.entries.items():
                 if k < N:
@@ -190,11 +192,8 @@ def bdt_invert(a: BdtElement, tol: float, sizes) -> CertifiedElement:
                     if abs(z) > 1e-15:
                         ent[(i, scol)] = Scalar.from_complex(z)
             ctilde = CompactMatrix(ent)
-            prev_sol = sol
         x = bdt_add(toeplitz(binv), bdt_from_compact(a.S, ctilde))
-        r_right = _one_sided_defect_norm(a, x, banded_norm)
-        r_left = _one_sided_defect_norm_left(a, x, norm_tol)
-        r = max(r_right, r_left)
+        r = max(_one_sided_defect_norm(a, x, right_norm), _one_sided_defect_norm(x, a, left_norm))
         if r < 1.0:
             xnorm = (bd_norm(binv, norm_tol) + norm_tol) + ctilde.mat.smax()
             bound = xnorm * r / (1.0 - r)
@@ -206,19 +205,10 @@ def bdt_invert(a: BdtElement, tol: float, sizes) -> CertifiedElement:
     raise NotInvertibleError("one-sided defect stayed >= 1 across the schedule")
 
 
-def _one_sided_defect_norm(a: BdtElement, x: BdtElement, banded_norm: float) -> float:
-    """||a x - 1||, exactly assembled: the banded part was certified by the
+def _one_sided_defect_norm(p: BdtElement, q: BdtElement, banded_norm: float) -> float:
+    """||p q - 1||, exactly assembled: the banded part was certified by the
     caller, the compact part is a finite matrix."""
-    d = bdt_mul(a, x)
-    comp = d.compact
-    return banded_norm + comp.mat.smax()
-
-
-def _one_sided_defect_norm_left(a: BdtElement, x: BdtElement, norm_tol: float) -> float:
-    d = bdt_mul(x, a)
-    sym_defect = bd_sub(d.symbol, bd_one(a.S))
-    s = 0.0 if sym_defect.is_zero() else bd_norm(sym_defect, norm_tol) + norm_tol
-    return s + d.compact.mat.smax()
+    return banded_norm + bdt_mul(p, q).compact.mat.smax()
 
 
 def _hermitian_exp_samples(sym: bloch.SymbolMatrix, G: int) -> np.ndarray:
@@ -233,8 +223,6 @@ def exp_band_reach(b: BdElement) -> int:
 
     The Laurent coefficients of e^{iB(z)} decay like (e C W / n)^{n/W} with
     W the bandwidth and C the total coefficient mass, so reach ~ W(eC + 40)."""
-    from .ulc import ulc_sup_norm
-
     C = sum(ulc_sup_norm(f) for f in b.bands.values())
     W = max(b.bandwidth, 1)
     return int(W * (math.e * C + 40.0)) + 8
@@ -273,8 +261,6 @@ def bd_exp(b: BdElement, tol: float, max_band: int) -> CertifiedElement:
         # mass still present in the outermost band shell means the cutoff is
         # active and the uncomputed tail cannot be ignored
         if cand2.bands:
-            from .ulc import ulc_sup_norm
-
             W = max(b.bandwidth, 1)
             maxn = max(abs(n) for n in cand2.bands)
             if maxn >= max_band - W:
@@ -318,8 +304,6 @@ def bdt_exp(a: BdtElement, scale: float, tol: float) -> tuple[BdtElement, float]
     until the mass outside it (Frobenius bound) is negligible, and the
     difference of two truncation sizes on the common corner estimates the
     boundary error."""
-    from .bdt import bdt_window_numpy
-
     b, c = a.symbol, a.compact
     sb = bd_scale(scale, b)
     ecert = bd_exp(sb, tol / 4.0, max_band=exp_band_reach(sb))
@@ -439,8 +423,6 @@ def check_exp_bound_b(b: BdElement, M: int, tol: float = 1e-6) -> BoundCheck:
 def _p_norm_grid_lower(b: BdElement, M: int) -> float:
     """Grid (hence lower-bound) evaluation of the P-norm for band-rich
     elements where the full certification is unnecessary."""
-    from .bd import bd_delta_L_power
-
     total = 0.0
     for j in range(M + 1):
         x = bd_delta_L_power(b, j)
@@ -458,8 +440,6 @@ def _p_norm_grid_lower(b: BdElement, M: int) -> float:
 def check_exp_bound_c(c: CompactMatrix, M: int, tol: float = 1e-9) -> BoundCheck:
     """Check ||e^{ic}||_{M,0} <= prod_{j=1..M} (1 + ||c||_{j,0})^{2^{M-j}}
     (everything here is a finite computation)."""
-    from .compact import k_mn_norm
-
     e = k_exp(c)
     k = e.compact  # e^{ic} = 1 + k
     W = max(k.support_bound(), 1)

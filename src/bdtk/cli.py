@@ -33,8 +33,10 @@ from .verify import SUITES, report_to_json, run_suite
 
 
 def _read_json(path: str):
-    text = sys.stdin.read() if path == "-" else open(path).read()
-    return json.loads(text)
+    if path == "-":
+        return json.loads(sys.stdin.read())
+    with open(path) as fh:
+        return json.load(fh)
 
 
 def _load_element(path: str):
@@ -285,3 +287,7 @@ def cli_dispatch(argv) -> int:
 
 def main() -> None:
     sys.exit(cli_dispatch(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from .scalars import Scalar, phase_scalar, FLOAT_EQ_TOL
+from .scalars import phase_scalar, FLOAT_EQ_TOL
 from .sparse import ScalarMatrix
 
 
@@ -91,19 +91,6 @@ def k_adjoint(c: CompactMatrix) -> CompactMatrix:
 
 def k_scale(z, c: CompactMatrix) -> CompactMatrix:
     return CompactMatrix(c.mat.scale(z))
-
-
-def k_algebra(op: str, *args) -> CompactMatrix:
-    """Dispatcher: op in {add, mul, adjoint, scale}."""
-    if op == "add":
-        return k_add(*args)
-    if op == "mul":
-        return k_mul(*args)
-    if op == "adjoint":
-        return k_adjoint(*args)
-    if op == "scale":
-        return k_scale(*args)
-    raise ValueError(f"unknown op {op!r}")
 
 
 def k_dK(c: CompactMatrix) -> CompactMatrix:

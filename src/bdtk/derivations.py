@@ -16,11 +16,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import Supernatural, sn_divides
+from .arith import Supernatural, sn_divides, sn_divisors_upto
 from .bd import BdElement, bd_element, bd_m, bd_v, bd_zero
 from .bdt import (
     BdtElement,
     bdt_add,
+    bdt_component_range,
     bdt_dK,
     bdt_equal,
     bdt_fourier,
@@ -28,13 +29,13 @@ from .bdt import (
     bdt_mul,
     bdt_rho,
     bdt_scale,
-    bdt_truncate_numpy,
+    bdt_window_numpy,
     toeplitz,
 )
-from .compact import CompactMatrix, k_zero
+from .compact import CompactMatrix, k_units, k_zero
 from .errors import ReconstructionMismatchError, UnsupportedDerivationError
-from .scalars import Scalar
-from .ulc import ulc_character, ulc_eval
+from .scalars import Scalar, phase_scalar
+from .ulc import ulc, ulc_character, ulc_eval
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,7 +95,7 @@ def der_leibniz_residual(d: DerivationSpec, a1: BdtElement, a2: BdtElement, N: i
     diff = bdt_add(lhs, bdt_scale(-1, rhs))
     if diff.is_zero():
         return 0.0
-    return float(np.linalg.svd(bdt_truncate_numpy(diff, N), compute_uv=False)[0])
+    return float(np.linalg.svd(bdt_window_numpy(diff, N, N), compute_uv=False)[0])
 
 
 def der_component(d: DerivationSpec, n: int) -> DerivationSpec:
@@ -108,8 +109,6 @@ def der_component(d: DerivationSpec, n: int) -> DerivationSpec:
 
 def der_component_bound(d: DerivationSpec) -> int:
     """Smallest B with all components of d supported in [-B, B]."""
-    from .bdt import bdt_component_range
-
     return bdt_component_range(der_inner_element(d))
 
 
@@ -146,18 +145,12 @@ def der_check_covariance(d_n: DerivationSpec, n: int, a: BdtElement, theta_sampl
     worst = 0.0
     for th in theta_samples:
         lhs = bdt_rho(der_apply(d_n, bdt_rho(a, th)), -th)
-        rhs = bdt_scale(_phase(-n, th), base)
+        rhs = bdt_scale(phase_scalar(-n, th), base)
         diff = bdt_add(lhs, bdt_scale(-1, rhs))
         if diff.is_zero():
             continue
-        worst = max(worst, float(np.linalg.svd(bdt_truncate_numpy(diff, N), compute_uv=False)[0]))
+        worst = max(worst, float(np.linalg.svd(bdt_window_numpy(diff, N, N), compute_uv=False)[0]))
     return worst
-
-
-def _phase(mult: int, theta) -> Scalar:
-    from .scalars import phase_scalar
-
-    return phase_scalar(mult, theta)
 
 
 def _character_level(S: Supernatural, n: int, bound: int = 4096) -> int:
@@ -239,10 +232,6 @@ def der_reconstruct(d, band_limit: int, S: Supernatural) -> CompactMatrix:
 
 
 def _verify_reconstruction(d, c: CompactMatrix, S: Supernatural, B: int):
-    from .arith import sn_divisors_upto
-    from .compact import k_units
-    from .ulc import ulc
-
     divs = sn_divisors_upto(S, 16) or [1]
     corpus: list[BdtElement] = [
         toeplitz(bd_v(S, 1)),

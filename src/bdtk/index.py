@@ -17,7 +17,7 @@ import numpy as np
 from . import bloch
 from .arith import Supernatural, gs_contains, embed_int, sn_divisors_upto
 from .bd import BdElement, bd_symbol
-from .bdt import BdtElement, bdt_adjoint, bdt_mul, bdt_window_numpy, bdt_u, toeplitz, tau
+from .bdt import BdtElement, bdt_adjoint, bdt_mul, bdt_window_numpy, bdt_u, tau
 from .errors import NotFredholmError, NotInvertibleError, UnstableIndexError
 
 

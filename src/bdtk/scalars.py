@@ -112,14 +112,6 @@ def _canonicalize(n: int, terms: dict[int, Fraction]) -> tuple[int, dict[int, Fr
         return n, terms
 
 
-def _as_fraction_exact(x) -> Fraction | None:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    return None
-
-
 class Scalar:
     """Exact cyclotomic-rational or float-tagged complex scalar."""
 
@@ -188,9 +180,6 @@ class Scalar:
         if self.n:
             return not self.c
         return self.f == 0
-
-    def is_rational(self) -> bool:
-        return self.n == 1
 
     # ------------------------------------------------------------ conversion
 

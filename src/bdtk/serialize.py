@@ -35,18 +35,26 @@ def encode_scalar(z: Scalar):
     }
 
 
+def _decode_fraction(num, den) -> Fraction:
+    if int(den) == 0:
+        raise ValueError("zero denominator in a scalar encoding")
+    return Fraction(int(num), int(den))
+
+
 def decode_scalar(obj) -> Scalar:
     if isinstance(obj, dict):
         n = int(obj["order"])
-        terms = {int(k): Fraction(int(p), int(q)) for k, p, q in obj["terms"]}
+        if n < 1:
+            raise ValueError(f"scalar order must be positive, got {n}")
+        terms = {int(k): _decode_fraction(p, q) for k, p, q in obj["terms"]}
         return Scalar._exact(n, terms)
     if isinstance(obj, (int, float)):
         return Scalar.from_number(obj if isinstance(obj, int) else float(obj))
     if len(obj) == 2:
         return Scalar.from_complex(complex(obj[0], obj[1]))
     if len(obj) == 4:
-        return Scalar.from_fraction(Fraction(int(obj[0]), int(obj[1])),
-                                    Fraction(int(obj[2]), int(obj[3])))
+        return Scalar.from_fraction(_decode_fraction(obj[0], obj[1]),
+                                    _decode_fraction(obj[2], obj[3]))
     raise ValueError(f"bad scalar encoding: {obj!r}")
 
 

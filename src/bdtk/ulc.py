@@ -8,9 +8,9 @@ is canonical.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .arith import Supernatural, sn_divides
 from .scalars import Scalar, FLOAT_EQ_TOL
@@ -44,10 +44,6 @@ def ulc(values, period: int | None = None) -> UlcFunction:
         if l % d == 0 and all(vals[r].identical(vals[r % d]) for r in range(l)):
             return UlcFunction(d, vals[:d])
     return UlcFunction(l, vals)
-
-
-def ulc_const(z) -> UlcFunction:
-    return ulc([z])
 
 
 def ulc_zero() -> UlcFunction:
@@ -100,19 +96,6 @@ def ulc_scale(z, f: UlcFunction) -> UlcFunction:
     return ulc([z * v for v in f.values])
 
 
-def ulc_pointwise(op: str, f: UlcFunction, g=None, S: Supernatural | None = None) -> UlcFunction:
-    """Dispatcher for the pointwise algebra: op in {add, mul, conj, scale}."""
-    if op == "add":
-        return ulc_add(f, g, S)
-    if op == "mul":
-        return ulc_mul(f, g, S)
-    if op == "conj":
-        return ulc_conj(f)
-    if op == "scale":
-        return ulc_scale(g, f)
-    raise ValueError(f"unknown pointwise op {op!r}")
-
-
 def ulc_sup_norm(f: UlcFunction) -> float:
     """sup |f| over Z/SZ, computed in floating point."""
     return max(abs(v) for v in f.values)
@@ -129,8 +112,6 @@ def ulc_character(l: int, j: int, exact: bool = False) -> UlcFunction:
         raise ValueError("level must be positive")
     if exact:
         return ulc([Scalar.root_of_unity(j * r, l) for r in range(l)])
-    import cmath
-
     return ulc([Scalar.from_complex(cmath.exp(2j * cmath.pi * j * r / l)) for r in range(l)])
 
 

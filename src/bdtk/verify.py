@@ -16,12 +16,9 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
 
 from . import corpus as cp
 from .arith import INF, GsRational, Supernatural, embed_int, gs_add, gs_contains, odometer, sn_divides
@@ -32,7 +29,6 @@ from .bd import (
     bd_delta_L,
     bd_element,
     bd_equal,
-    bd_fourier,
     bd_m,
     bd_mul,
     bd_norm,
@@ -41,13 +37,13 @@ from .bd import (
     bd_positive_part,
     bd_scale,
     bd_sub,
+    bd_sup_coefficient_norm,
     bd_truncation_smax,
     bd_v,
-    bd_zero,
 )
 from .bdt import (
-    bdt,
     bdt_add,
+    bdt_adjoint,
     bdt_equal,
     bdt_from_compact,
     bdt_mul,
@@ -62,13 +58,13 @@ from .bdt import (
 )
 from .calculus import bd_invert, bdt_invert, check_exp_bound_b, check_exp_bound_c
 from .compact import (
-    CompactMatrix,
     k_add,
     k_adjoint,
     k_dK,
     k_dK_power,
     k_mn_norm,
     k_mul,
+    k_rho,
     k_scale,
     k_units,
 )
@@ -84,8 +80,8 @@ from .derivations import (
 from .errors import BdtkError
 from .index import fredholm_index, winding
 from .scalars import Scalar
-from .serialize import dumps, encode_bd, encode_bdt, encode_compact, encode_ulc
-from .ulc import ulc_eval, ulc_shift, ulc_sup_norm
+from .serialize import dumps, encode_bd, encode_compact, encode_ulc
+from .ulc import ulc, ulc_eval, ulc_shift, ulc_sup_norm
 
 
 @dataclass(frozen=True)
@@ -167,24 +163,6 @@ def report_to_json(report: VerifyReport) -> str:
     return "".join(lines)
 
 
-def _thread_cap() -> int:
-    try:
-        return max(1, int(os.environ.get("BDTK_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _run_cases(thunks):
-    """Evaluate case thunks, optionally on a thread pool, preserving order."""
-    cap = _thread_cap()
-    if cap <= 1 or len(thunks) < 2:
-        return [t() for t in thunks]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=cap) as ex:
-        return list(ex.map(lambda t: t(), thunks))
-
-
 S_DEFAULT = cp.DEFAULT_S
 
 
@@ -256,8 +234,6 @@ def suite_toeplitz_properties(seed: int = 7, cases: int = 200) -> VerifyReport:
             bdt_equal(bdt_mul(toeplitz(b), toeplitz(bd_m(S, f))),
                       toeplitz(bd_mul(b, bd_m(S, f)))),
         )
-        from .bdt import bdt_adjoint
-
         rep.add_exact(
             f"case-{i:03d}/adjoint", dig,
             bdt_equal(bdt_adjoint(toeplitz(b)), toeplitz(bd_adjoint(b))),
@@ -381,8 +357,6 @@ def suite_norm_axioms(seed: int = 7, cases: int = 200) -> VerifyReport:
         )
         # rho preserves each norm
         th = rng.choice([Fraction(1, 3), Fraction(2, 7), Fraction(1, 2), Fraction(3, 8)])
-        from .compact import k_rho
-
         rep.add_close(
             f"case-{i:03d}/mn-rho-isometry", dig,
             k_mn_norm(k_rho(c1, th), M, N), k_mn_norm(c1, M, N), 1e-12 * scale,
@@ -450,18 +424,11 @@ def suite_bloch_consistency(seed: int = 7, cases: int = 100) -> VerifyReport:
     rep = VerifyReport("bloch-consistency", seed)
     S = S_DEFAULT
     sizes = (64, 256, 1024, 2048)
-    drawn = [cp.rand_bd(rng, S) for _ in range(cases)]  # draws precede evaluation
-
-    def make_case(i, b):
-        def run():
-            dig = _digest(encode_bd(b))
-            nrm = bd_norm(b, 1e-6)
-            truncs = [bd_truncation_smax(b, N) for N in sizes]
-            return i, dig, nrm, truncs
-
-        return run
-
-    for i, dig, nrm, truncs in _run_cases([make_case(i, b) for i, b in enumerate(drawn)]):
+    for i in range(cases):
+        b = cp.rand_bd(rng, S)
+        dig = _digest(encode_bd(b))
+        nrm = bd_norm(b, 1e-6)
+        truncs = [bd_truncation_smax(b, N) for N in sizes]
         rep.add_leq(f"case-{i:03d}/upper-bound", dig, truncs[-1], nrm, 1e-6)
         mono = all(truncs[k] <= truncs[k + 1] + 1e-9 for k in range(len(truncs) - 1))
         rep.add_exact(f"case-{i:03d}/monotone", dig, mono)
@@ -504,8 +471,6 @@ def _neumann_inverse(b, w, tol=1e-14, max_terms=200):
     S = b.S
     D = bd_element(S, {w: b.bands[w]})
     R = bd_sub(b, D)
-    from .ulc import ulc
-
     shifted = ulc_shift(b.bands[w], -w)
     Dinv = bd_element(S, {-w: ulc([v.inverse() for v in shifted.values])})
     if R.is_zero():
@@ -516,8 +481,6 @@ def _neumann_inverse(b, w, tol=1e-14, max_terms=200):
     for _ in range(max_terms):
         term = bd_scale(-1, bd_mul(term, X))
         acc = bd_add(acc, term)
-        from .bd import bd_sup_coefficient_norm
-
         if bd_sup_coefficient_norm(term) * (2 * term.bandwidth + 1) < tol:
             break
     return bd_mul(Dinv, acc)
@@ -617,8 +580,6 @@ def suite_index(seed: int = 7, cases: int = 50) -> VerifyReport:
         vals = [Scalar.from_fraction(Fraction(rng.choice([1, -1]) * rng.randint(2, 6), 2),
                                      Fraction(rng.randint(-1, 1), 4))
                 for _ in range(period)]
-        from .ulc import ulc
-
         g = ulc(vals)
         b = bd_element(S, {n: g})
         dig = _digest(encode_bd(b))

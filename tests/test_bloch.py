@@ -4,6 +4,7 @@ import pytest
 from bdtk import bloch
 from bdtk import corpus as cp
 from bdtk.bd import bd_delta_L_power, bd_norm, bd_symbol
+from bdtk.errors import ToleranceUnreachableError
 from bdtk.serialize import decode_bd
 
 
@@ -76,5 +77,5 @@ def test_inconclusive_root_test_gives_no_certificate(monkeypatch):
     ]})
     sym = bd_symbol(b)
     monkeypatch.setattr(bloch, "_level_root_angles", lambda *args: ([0.25], False))
-    with pytest.raises(RuntimeError, match="did not converge"):
+    with pytest.raises(ToleranceUnreachableError, match="did not converge"):
         bloch.certified_sup_smax(sym, 1e-9)

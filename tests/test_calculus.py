@@ -8,9 +8,11 @@ import scipy.special
 from bdtk import corpus as cp
 from bdtk.bd import (
     bd_add,
+    bd_apply,
     bd_element,
     bd_equal,
     bd_m,
+    bd_mul,
     bd_norm,
     bd_one,
     bd_scalar,
@@ -26,8 +28,8 @@ from bdtk.bdt import (
     bdt_mul,
     bdt_one,
     bdt_scale,
-    bdt_truncate_numpy,
     bdt_u,
+    bdt_window_numpy,
     tau,
     toeplitz,
 )
@@ -108,16 +110,14 @@ def test_bdt_invert_toeplitz(S23):
     b = bd_scalar(S23, 5) + bd_scale(2, bd_v(S23, 1)) + bd_scale(2, bd_v(S23, -1))
     cert = bdt_invert(toeplitz(b), 1e-8, [64, 128, 256])
     assert cert.residual_bound <= 1e-8
-    A = bdt_truncate_numpy(toeplitz(b), 300)
-    X = bdt_truncate_numpy(cert.value, 300)
+    A = bdt_window_numpy(toeplitz(b), 300, 300)
+    X = bdt_window_numpy(cert.value, 300, 300)
     assert np.abs((A @ X - np.eye(300))[:40, :40]).max() < 1e-8
 
 
 def test_residual_certificates_sound(S23, rng):
     # ||b x - 1|| <= ||b|| * residual_bound, checked on a large two-sided
     # window of the exactly assembled defect (windows are compressions)
-    from bdtk.bd import bd_apply_numpy, bd_mul
-
     for _ in range(10):
         b, w = cp.rand_invertible_bd(rng, S23)
         cert = bd_invert(b, 1e-8, 48)
@@ -125,7 +125,8 @@ def test_residual_certificates_sound(S23, rng):
         if defect.is_zero():
             continue
         window = range(-128, 128)
-        smax = np.linalg.svd(bd_apply_numpy(defect, window), compute_uv=False)[0]
+        smax = np.linalg.svd(bd_apply(defect, window).to_numpy(window, window),
+                             compute_uv=False)[0]
         assert smax <= bd_norm(b, 1e-9) * cert.residual_bound + 1e-9
 
 

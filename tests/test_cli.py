@@ -1,7 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import pytest
 
+import bdtk
+from bdtk import bloch
 from bdtk import serialize as ser
 from bdtk.arith import Supernatural, INF
 from bdtk.bd import bd_add, bd_v
@@ -109,3 +116,47 @@ def test_out_flag(tmp_path, capsys, vpv_file):
     assert cli_dispatch(["--out", str(dest), "adjoint", vpv_file]) == 0
     payload = json.loads(dest.read_text())
     assert {n for n, _ in payload["bands"]} == {-1, 1}
+
+
+_S23_JSON = [[2, "inf"], [3, 1]]
+
+
+@pytest.mark.parametrize("cmd,value", [
+    ("adjoint", [1, 0, 0, 1]),
+    ("adjoint", [1, 1, 0, 0]),
+    ("adjoint", {"order": 3, "terms": [[1, 1, 0]]}),
+    ("adjoint", {"order": 0, "terms": [[0, 1, 1]]}),
+    ("norm", [1e308, 1e308]),
+], ids=["re-den-0", "im-den-0", "term-den-0", "order-0", "norm-overflow"])
+def test_malformed_value_exit_code(tmp_path, capsys, cmd, value):
+    path = _write(tmp_path, "bad.json",
+                  {"S": _S23_JSON, "bands": [[1, {"period": 1, "values": [value]}]]})
+    assert cli_dispatch([cmd, path]) == 2
+    assert "error" in json.loads(capsys.readouterr().err)
+
+
+def test_uncertifiable_norm_is_json_error(tmp_path, capsys, monkeypatch):
+    path = _write(tmp_path, "b.json", {"S": _S23_JSON, "bands": [
+        [1, {"period": 2, "values": [[1, 1, 0, 1], [2, 1, 0, 1]]}],
+        [-1, {"period": 2, "values": [[3, 1, 0, 1], [1, 2, 0, 1]]}],
+    ]})
+    monkeypatch.setattr(bloch, "_level_root_angles", lambda *args: ([0.25], False))
+    assert cli_dispatch(["norm", path]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "TOLERANCE_UNREACHABLE"
+
+
+def test_input_file_is_closed(capsys, vpv_file):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli_dispatch(["adjoint", vpv_file]) == 0
+    capsys.readouterr()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def test_module_entry_point():
+    src = str(Path(bdtk.__file__).resolve().parents[1])
+    argv = [sys.executable, "-m", "bdtk.cli", "gs", "--S", "2:inf,3:1", "--q", "5/6"]
+    run = subprocess.run(argv, capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == {"member": True}

@@ -4,8 +4,8 @@ from fractions import Fraction
 from bdtk import corpus as cp
 from bdtk.compact import (
     CompactMatrix,
+    k_add,
     k_adjoint,
-    k_algebra,
     k_dK,
     k_mn_norm,
     k_mul,
@@ -22,11 +22,11 @@ def test_matrix_unit_relations():
     assert k_adjoint(k_units(3, 5)).equal(k_units(5, 3))
 
 
-def test_algebra_dispatcher():
+def test_algebra_operations():
     c = k_units(1, 1)
-    assert k_algebra("add", c, k_scale(-1, c)).is_zero()
-    assert k_algebra("adjoint", k_algebra("adjoint", c)).equal(c)
-    assert k_algebra("scale", Fraction(1, 2), c).entries[(1, 1)] == Scalar.from_fraction(
+    assert k_add(c, k_scale(-1, c)).is_zero()
+    assert k_adjoint(k_adjoint(c)).equal(c)
+    assert k_scale(Fraction(1, 2), c).entries[(1, 1)] == Scalar.from_fraction(
         Fraction(1, 2)
     )
 

@@ -6,10 +6,13 @@ from hypothesis import given, settings, strategies as st
 from bdtk.scalars import Scalar
 from bdtk.ulc import (
     ulc,
+    ulc_add,
     ulc_character,
+    ulc_conj,
     ulc_equal,
     ulc_eval,
-    ulc_pointwise,
+    ulc_mul,
+    ulc_scale,
     ulc_shift,
     ulc_sup_norm,
 )
@@ -59,14 +62,14 @@ def test_minimal_period_canonicalization():
 def test_pointwise_add_refines():
     f = ulc([Fraction(1)])
     g = ulc([2, 3])
-    h = ulc_pointwise("add", f, g)
+    h = ulc_add(f, g)
     assert h.period == 2
     assert [v.gauss_parts()[0] for v in h.values] == [3, 4]
 
 
 def test_pointwise_mul_conj_gives_modulus_squared():
     f = ulc([Scalar.from_fraction(1, 2), Scalar.from_fraction(-2, 0), Scalar.from_fraction(0, 3)])
-    h = ulc_pointwise("mul", f, ulc_pointwise("conj", f))
+    h = ulc_mul(f, ulc_conj(f))
     assert [v.gauss_parts() for v in h.values] == [
         (Fraction(5), Fraction(0)), (Fraction(4), Fraction(0)), (Fraction(9), Fraction(0))
     ]
@@ -74,13 +77,13 @@ def test_pointwise_mul_conj_gives_modulus_squared():
 
 def test_pointwise_scale_zero():
     f = ulc([1, 2, 3])
-    assert ulc_pointwise("scale", f, 0).is_zero()
+    assert ulc_scale(0, f).is_zero()
 
 
 def test_period_must_divide_ambient(S23):
     f = ulc([1, 2, 3, 4, 5])  # period 5 does not divide S = 2^inf * 3
     with pytest.raises(ValueError):
-        ulc_pointwise("add", f, ulc([1, 2]), S=S23)
+        ulc_add(f, ulc([1, 2]), S=S23)
 
 
 def test_sup_norm():
