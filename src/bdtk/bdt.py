@@ -20,6 +20,7 @@ from .bd import (
     BdElement,
     bd_add,
     bd_adjoint,
+    bd_apply,
     bd_delta_L,
     bd_element,
     bd_equal,
@@ -228,16 +229,8 @@ def bdt_truncate(a: BdtElement, N: int) -> ScalarMatrix:
     """The N x N corner: entry (k, s) = f_{k-s}(s) plus the compact entry."""
     if N < 1:
         raise ValueError("N must be positive")
-    ent: dict[tuple[int, int], Scalar] = {}
-    for n, f in a.symbol.bands.items():
-        for s in range(max(0, -n), min(N, N - n)):
-            v = ulc_eval(f, s)
-            if not v.is_zero():
-                ent[(s + n, s)] = v
-    out = ScalarMatrix(ent)
-    if not a.compact.is_zero():
-        out = out.add(a.compact.mat.restrict(range(N), range(N)))
-    return out
+    window = range(N)
+    return bd_apply(a.symbol, window).add(a.compact.restrict(window, window))
 
 
 def bdt_window_numpy(a: BdtElement, rows: int, cols: int) -> np.ndarray:

@@ -23,13 +23,15 @@ decide) no certificate is given unless a higher level is proved clear.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ToleranceUnreachableError
 
 _TWO_PI = 2.0 * np.pi
+# a root of det B(z) this close to the unit circle makes the symbol singular
+INVERTIBILITY_DELTA = 1e-8
 
 
 @dataclass
@@ -38,37 +40,33 @@ class SymbolMatrix:
 
     period: int
     coeffs: dict[int, np.ndarray]      # wrap power w -> l x l coefficient matrix
-    band_sup: dict[int, float] = field(default_factory=dict)
 
     def wrap_degree(self) -> int:
         return max((abs(w) for w in self.coeffs), default=0)
 
     def at(self, theta: float) -> np.ndarray:
-        l = self.period
-        out = np.zeros((l, l), dtype=complex)
-        for w, C in self.coeffs.items():
-            out += C * np.exp(2j * np.pi * w * theta)
-        return out
+        return self.at_many(np.array([theta]))[0]
 
     def at_many(self, thetas: np.ndarray) -> np.ndarray:
-        l = self.period
         ws = np.array(sorted(self.coeffs), dtype=float)
         stack = np.stack([self.coeffs[int(w)] for w in ws])
         phases = np.exp(2j * np.pi * np.outer(thetas, ws))
         return np.einsum("tw,wij->tij", phases, stack)
 
-    def lipschitz_bound(self) -> float:
-        """2 pi * sum_n (|n| // l + 1) * sup|f_n|, a bound on d(sigma_max)/d(theta)."""
-        l = self.period
-        return _TWO_PI * sum((abs(n) // l + 1) * s for n, s in self.band_sup.items())
+
+def grid_size(floor: int, need: int) -> int:
+    """The least floor * 2^k that is >= need: the size of an equispaced
+    circle grid, kept a power of two times the floor for the FFTs."""
+    G = floor
+    while G < need:
+        G *= 2
+    return G
 
 
 def symbol_from_bands(l: int, band_values: dict[int, np.ndarray]) -> SymbolMatrix:
     """Assemble the symbol from per-band value arrays of length l."""
     coeffs: dict[int, np.ndarray] = {}
-    sup: dict[int, float] = {}
     for n, vals in band_values.items():
-        sup[n] = float(np.max(np.abs(vals))) if len(vals) else 0.0
         for r in range(l):
             rp = (r + n) % l
             w = (r + n - rp) // l
@@ -78,7 +76,7 @@ def symbol_from_bands(l: int, band_values: dict[int, np.ndarray]) -> SymbolMatri
             C[rp, r] += vals[r]
     if not coeffs:
         coeffs[0] = np.zeros((l, l), dtype=complex)
-    return SymbolMatrix(l, coeffs, sup)
+    return SymbolMatrix(l, coeffs)
 
 
 def symbol_samples_to_bands(samples: np.ndarray, max_band: int) -> dict[int, np.ndarray]:
@@ -110,10 +108,6 @@ def _smax_batch(mats: np.ndarray) -> np.ndarray:
     return np.linalg.svd(mats, compute_uv=False)[..., 0]
 
 
-def _smax_at(sym: SymbolMatrix, theta: float) -> float:
-    return float(np.linalg.svd(sym.at(theta), compute_uv=False)[0])
-
-
 def _laurent_det_poly(coeff_mats: dict[int, np.ndarray], l: int) -> tuple[np.ndarray, float]:
     """Coefficients (low to high) of z^(l*D) * det(sum_u A_u z^u), D = max |u|,
     and the round-off level of those coefficients.
@@ -126,9 +120,7 @@ def _laurent_det_poly(coeff_mats: dict[int, np.ndarray], l: int) -> tuple[np.nda
     if D == 0:
         return np.array([np.linalg.det(coeff_mats.get(0, np.zeros((l, l))))]), 0.0
     deg = 2 * l * D
-    M = 1
-    while M < 2 * (deg + 1):
-        M *= 2
+    M = grid_size(1, 2 * (deg + 1))
     idx = np.arange(M)
     z = np.exp(2j * np.pi * idx / M)
     mats = np.zeros((M, l, l), dtype=complex)
@@ -139,19 +131,16 @@ def _laurent_det_poly(coeff_mats: dict[int, np.ndarray], l: int) -> tuple[np.nda
     return c[:deg + 1], 8.0 * float(np.max(np.abs(c[deg + 1:])))
 
 
-def _winding_on_circle(poly_lo2hi: np.ndarray, radius: float) -> int | None:
-    """Number of zeros inside |z| < radius via argument accumulation; None if
-    the phase steps cannot be resolved (roots essentially on the sampling
-    circle), which callers treat as an inconclusive, hence conservative,
-    outcome."""
-    deg = len(poly_lo2hi) - 1
-    M = 4096
-    while M < 32 * max(deg, 1):
-        M *= 2
-    hi2lo = poly_lo2hi[::-1]
+def _winding(values_at, M: int) -> int | None:
+    """Winding number around 0 of a closed curve, by argument accumulation.
+
+    values_at(M) returns the curve at the M equispaced parameters k / M; up to
+    eight grids are tried, doubling M, until every phase step is below 1.5 rad
+    and the total is within 1e-6 of an integer.  None when the curve comes within
+    1e-290 of 0 on a grid or the steps never resolve, which callers treat as
+    an inconclusive outcome."""
     for _ in range(8):
-        z = radius * np.exp(2j * np.pi * np.arange(M) / M)
-        vals = np.polyval(hi2lo, z)
+        vals = values_at(M)
         if np.min(np.abs(vals)) <= 1e-290:
             return None
         args = np.angle(vals)
@@ -164,6 +153,16 @@ def _winding_on_circle(poly_lo2hi: np.ndarray, radius: float) -> int | None:
                 return w
         M *= 2
     return None
+
+
+def _winding_on_circle(poly_lo2hi: np.ndarray, radius: float) -> int | None:
+    """Number of zeros inside |z| < radius by the argument principle; None if
+    inconclusive (roots essentially on the sampling circle), which callers
+    treat conservatively."""
+    deg = len(poly_lo2hi) - 1
+    hi2lo = poly_lo2hi[::-1]
+    return _winding(lambda M: np.polyval(hi2lo, radius * np.exp(2j * np.pi * np.arange(M) / M)),
+                    grid_size(4096, 32 * max(deg, 1)))
 
 
 def circle_root_angles(poly_lo2hi: np.ndarray, delta: float = 1e-7,
@@ -207,9 +206,7 @@ def circle_root_angles(poly_lo2hi: np.ndarray, delta: float = 1e-7,
 
 def _unit_circle_min_angles(poly_lo2hi: np.ndarray, count: int = 6) -> list[float]:
     deg = len(poly_lo2hi) - 1
-    M = 4096
-    while M < 8 * max(deg, 1):
-        M *= 2
+    M = grid_size(4096, 8 * max(deg, 1))
     z = np.exp(2j * np.pi * np.arange(M) / M)
     vals = np.abs(np.polyval(poly_lo2hi[::-1], z))
     local = np.where((vals <= np.roll(vals, 1)) & (vals <= np.roll(vals, -1)))[0]
@@ -270,14 +267,12 @@ def certified_sup_smax(sym: SymbolMatrix, tol: float) -> float:
         raise ValueError("tol must be positive")
     W = sym.wrap_degree()
     if W == 0:
-        return _smax_at(sym, 0.0)
+        return float(_smax_batch(sym.at_many(np.zeros(1)))[0])
     with np.errstate(over="ignore", invalid="ignore"):
         H = _gram_coeffs(sym)
     if not all(np.isfinite(A).all() for A in H.values()):
         raise ValueError("symbol out of range: B^* B overflows double precision")
-    G = 256
-    while G < 8 * (2 * W + 1):
-        G *= 2
+    G = grid_size(256, 8 * (2 * W + 1))
     m = float(np.max(_smax_batch(sym.at_many(np.arange(G) / G))))
     for _ in range(64):
         lam = m + 0.5 * tol
@@ -295,19 +290,18 @@ def certified_sup_smax(sym: SymbolMatrix, tol: float) -> float:
     raise ToleranceUnreachableError("operator-norm certification did not converge")
 
 
-def symbol_invertibility(sym: SymbolMatrix, delta: float = 1e-8) -> tuple[bool, float]:
+def symbol_invertibility(sym: SymbolMatrix) -> tuple[bool, float]:
     """Certify pointwise invertibility of B on the circle.
 
     Returns (invertible, grid_smin).  Invertibility holds iff det B(z) has no
-    unimodular roots; grid_smin reports the observed sigma_min margin."""
+    root within INVERTIBILITY_DELTA of the unit circle; grid_smin reports the
+    observed sigma_min margin."""
     l = sym.period
-    G = 256
-    while G < 8 * (2 * sym.wrap_degree() + 1):
-        G *= 2
+    G = grid_size(256, 8 * (2 * sym.wrap_degree() + 1))
     mats = sym.at_many(np.arange(G) / G)
     smin = float(np.linalg.svd(mats, compute_uv=False)[:, -1].min())
     poly, noise = _laurent_det_poly(sym.coeffs, l)
-    angles, certified = circle_root_angles(poly, delta, noise)
+    angles, certified = circle_root_angles(poly, INVERTIBILITY_DELTA, noise)
     if not certified or angles or smin <= 1e-12:
         return False, smin
     return True, smin
@@ -316,20 +310,8 @@ def symbol_invertibility(sym: SymbolMatrix, delta: float = 1e-8) -> tuple[bool, 
 def winding_of_det(sym: SymbolMatrix) -> int:
     """Winding number of theta -> det B(e^{2 pi i theta}) around 0, by
     argument accumulation on a refined grid."""
-    G = 1024
-    while G < 16 * (sym.wrap_degree() * sym.period + 1):
-        G *= 2
-    for _ in range(8):
-        vals = np.linalg.det(sym.at_many(np.arange(G) / G))
-        if np.min(np.abs(vals)) <= 1e-290:
-            raise ValueError("determinant vanishes on the sampling grid")
-        args = np.angle(vals)
-        d = np.diff(np.concatenate([args, args[:1]]))
-        d = (d + np.pi) % (2 * np.pi) - np.pi
-        if np.max(np.abs(d)) < np.pi / 2:
-            total = d.sum() / (2 * np.pi)
-            w = int(round(total))
-            if abs(total - w) < 1e-6:
-                return w
-        G *= 2
-    raise RuntimeError("winding accumulation did not resolve")
+    w = _winding(lambda G: np.linalg.det(sym.at_many(np.arange(G) / G)),
+                 grid_size(1024, 16 * (sym.wrap_degree() * sym.period + 1)))
+    if w is None:
+        raise RuntimeError("winding accumulation did not resolve")
+    return w

@@ -48,7 +48,7 @@ from .bdt import (
     correction,
     toeplitz,
 )
-from .compact import CompactMatrix, k_add, k_dK_power, k_mn_norm, k_to_numpy, k_zero
+from .compact import CompactMatrix, k_add, k_dK_power, k_mn_norm, k_zero
 from .errors import NotInvertibleError, ToleranceUnreachableError
 from .scalars import Scalar
 from .ulc import ulc, ulc_shift, ulc_sup_norm
@@ -108,9 +108,7 @@ def bd_invert(b: BdElement, tol: float, max_band: int) -> CertifiedElement:
     if not ok:
         raise NotInvertibleError(f"symbol singular on the circle (grid sigma_min {smin:.3e})")
     l = b.period
-    G = 256
-    while G < 8 * (max_band // l + 2):
-        G *= 2
+    G = bloch.grid_size(256, 8 * (max_band // l + 2))
     last = None
     drop = tol / (4.0 * max_band)
     for _ in range(4):
@@ -193,9 +191,11 @@ def bdt_invert(a: BdtElement, tol: float, sizes) -> CertifiedElement:
                         ent[(i, scol)] = Scalar.from_complex(z)
             ctilde = CompactMatrix(ent)
         x = bdt_add(toeplitz(binv), bdt_from_compact(a.S, ctilde))
-        r = max(_one_sided_defect_norm(a, x, right_norm), _one_sided_defect_norm(x, a, left_norm))
+        # ||a x - 1|| <= certified banded part + norm of the finite compact part
+        r = max(right_norm + bdt_mul(a, x).compact.smax(),
+                left_norm + bdt_mul(x, a).compact.smax())
         if r < 1.0:
-            xnorm = (bd_norm(binv, norm_tol) + norm_tol) + ctilde.mat.smax()
+            xnorm = (bd_norm(binv, norm_tol) + norm_tol) + ctilde.smax()
             bound = xnorm * r / (1.0 - r)
             if bound <= tol:
                 return CertifiedElement(x, bound, "symbol-inverse+truncated-solve")
@@ -203,12 +203,6 @@ def bdt_invert(a: BdtElement, tol: float, sizes) -> CertifiedElement:
     if best is not None:
         raise ToleranceUnreachableError(f"best certified bound {best} above tol {tol}")
     raise NotInvertibleError("one-sided defect stayed >= 1 across the schedule")
-
-
-def _one_sided_defect_norm(p: BdtElement, q: BdtElement, banded_norm: float) -> float:
-    """||p q - 1||, exactly assembled: the banded part was certified by the
-    caller, the compact part is a finite matrix."""
-    return banded_norm + bdt_mul(p, q).compact.mat.smax()
 
 
 def _hermitian_exp_samples(sym: bloch.SymbolMatrix, G: int) -> np.ndarray:
@@ -243,9 +237,7 @@ def bd_exp(b: BdElement, tol: float, max_band: int) -> CertifiedElement:
     if b.is_zero():
         return CertifiedElement(bd_one(S), 0.0, "exact")
     sym = bd_symbol(b)
-    G = 256
-    while G < 8 * (max_band // l + 2):
-        G *= 2
+    G = bloch.grid_size(256, 8 * (max_band // l + 2))
     drop = tol / (4.0 * max_band + 4.0)
     norm_tol = max(tol / 16.0, 1e-14)
     for _ in range(3):
@@ -280,12 +272,12 @@ def k_exp(c: CompactMatrix, S: Supernatural | None = None) -> BdtElement:
     The block exponential is exact to float precision; the ambient S only
     labels the unit symbol (default 2^infinity)."""
     S = S or _DEFAULT_S
-    if not c.equal(CompactMatrix(c.mat.adjoint()), tol=1e-12):
+    if not c.equal(c.adjoint(), tol=1e-12):
         raise ValueError("k_exp needs a self-adjoint matrix")
     if c.is_zero():
         return bdt_one(S)
     W = c.support_bound()
-    block = k_to_numpy(c, W)
+    block = c.to_numpy(range(W), range(W))
     w, V = np.linalg.eigh(block)
     eblock = (V * np.exp(1j * w)) @ V.conj().T - np.eye(W)
     ent = {}
@@ -364,7 +356,7 @@ def smooth_calc(a: BdtElement, fourier_coeffs: dict[int, complex], L, tol: float
         raise ValueError("smooth_calc needs a self-adjoint element")
     coeffs = {int(n): complex(v) for n, v in fourier_coeffs.items() if complex(v) != 0}
     if not coeffs:
-        return CertifiedElement(bdt_scalar_zero(a.S), tail_bound, "fourier-sum")
+        return CertifiedElement(bdt(bd_zero(a.S)), tail_bound, "fourier-sum")
     total_mass = sum(abs(v) for v in coeffs.values())
     budget = tol - tail_bound
     if budget <= 0:
@@ -383,10 +375,6 @@ def smooth_calc(a: BdtElement, fourier_coeffs: dict[int, complex], L, tol: float
     if cert > tol:
         raise ToleranceUnreachableError(f"accumulated certificate {cert} above tol {tol}")
     return CertifiedElement(acc, cert, "fourier-sum")
-
-
-def bdt_scalar_zero(S: Supernatural) -> BdtElement:
-    return bdt(bd_zero(S), k_zero())
 
 
 @dataclass(frozen=True)
@@ -429,9 +417,7 @@ def _p_norm_grid_lower(b: BdElement, M: int) -> float:
         if x.is_zero():
             continue
         sym = bd_symbol(x)
-        G = 256
-        while G < 4 * (2 * sym.wrap_degree() + 1):
-            G *= 2
+        G = bloch.grid_size(256, 4 * (2 * sym.wrap_degree() + 1))
         s = np.linalg.svd(sym.at_many(np.arange(G) / G), compute_uv=False)[:, 0]
         total += math.comb(M, j) * float(s.max())
     return total
@@ -443,11 +429,11 @@ def check_exp_bound_c(c: CompactMatrix, M: int, tol: float = 1e-9) -> BoundCheck
     e = k_exp(c)
     k = e.compact  # e^{ic} = 1 + k
     W = max(k.support_bound(), 1)
-    block = k_to_numpy(k, W) + np.eye(W)
+    block = k.to_numpy(range(W), range(W)) + np.eye(W)
     lhs = max(1.0, float(np.linalg.svd(block, compute_uv=False)[0]))
     for j in range(1, M + 1):
         lhs_term = k_dK_power(k, j)
-        lhs += math.comb(M, j) * lhs_term.mat.smax()
+        lhs += math.comb(M, j) * lhs_term.smax()
     rhs = 1.0
     for j in range(1, M + 1):
         rhs *= (1.0 + k_mn_norm(c, j, 0)) ** (2 ** (M - j))

@@ -39,8 +39,14 @@ def _read_json(path: str):
         return json.load(fh)
 
 
-def _load_element(path: str):
-    return ser.decode_element(_read_json(path))
+def _load_element(path: str, *types):
+    """Decode the element in `path`; any type outside `types` is malformed
+    input for the command."""
+    x = ser.decode_element(_read_json(path))
+    if not isinstance(x, types):
+        names = " or ".join(t.__name__ for t in types)
+        raise ValueError(f"expected {names}, got {type(x).__name__}")
+    return x
 
 
 def _emit(payload, args) -> None:
@@ -52,24 +58,16 @@ def _emit(payload, args) -> None:
         print(text)
 
 
-def _encode_any(x):
-    if isinstance(x, BdtElement):
-        return ser.encode_bdt(x)
-    if isinstance(x, BdElement):
-        return ser.encode_bd(x)
-    if isinstance(x, CompactMatrix):
-        return ser.encode_compact(x)
-    raise TypeError(f"cannot encode {type(x).__name__}")
-
-
 def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="bdtk", description=__doc__)
     p.add_argument("--out", help="write output to this file instead of stdout")
-    p.add_argument("--format", default="json", choices=["json"])
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("mul", help="product of two elements (band or Toeplitz form)")
@@ -155,49 +153,46 @@ def build_parser() -> argparse.ArgumentParser:
 def _dispatch(args) -> int:
     cmd = args.command
     if cmd == "mul":
-        a, b = _load_element(args.a), _load_element(args.b)
-        if isinstance(a, BdElement):
-            _emit(ser.encode_bd(bd_mul(a, b)), args)
-        else:
-            _emit(ser.encode_bdt(bdt_mul(a, b)), args)
+        a = _load_element(args.a, BdElement, BdtElement)
+        b = _load_element(args.b, type(a))
+        _emit(ser.encode_element(bd_mul(a, b) if isinstance(a, BdElement) else bdt_mul(a, b)),
+              args)
         return 0
     if cmd == "adjoint":
-        a = _load_element(args.a)
+        a = _load_element(args.a, BdElement, BdtElement)
         out = bd_adjoint(a) if isinstance(a, BdElement) else bdt_adjoint(a)
-        _emit(_encode_any(out), args)
+        _emit(ser.encode_element(out), args)
         return 0
     if cmd == "norm":
-        a = _load_element(args.a)
+        a = _load_element(args.a, BdElement, CompactMatrix)
         if isinstance(a, BdElement):
             P = args.P if args.P is not None else 0
             _emit({"norm": bd_p_norm(a, P, args.tol) if P else bd_norm(a, args.tol),
                    "P": P, "tol": args.tol}, args)
-        elif isinstance(a, CompactMatrix):
+        else:
             M = args.M or 0
             N = args.N or 0
             _emit({"norm": k_mn_norm(a, M, N), "M": M, "N": N}, args)
-        else:
-            raise ValueError("norm expects a band element or a compact matrix")
         return 0
     if cmd == "toeplitz":
-        _emit(ser.encode_bdt(toeplitz(_load_element(args.b))), args)
+        _emit(ser.encode_bdt(toeplitz(_load_element(args.b, BdElement))), args)
         return 0
     if cmd == "tau":
-        _emit(ser.encode_bd(tau(_load_element(args.a))), args)
+        _emit(ser.encode_bd(tau(_load_element(args.a, BdtElement))), args)
         return 0
     if cmd == "correction":
-        b1, b2 = _load_element(args.b1), _load_element(args.b2)
+        b1, b2 = _load_element(args.b1, BdElement), _load_element(args.b2, BdElement)
         _emit(ser.encode_compact(correction(b1, b2)), args)
         return 0
     if cmd == "fourier":
-        a = _load_element(args.a)
+        a = _load_element(args.a, BdElement, BdtElement)
         if isinstance(a, BdElement):
             _emit(ser.encode_ulc(bd_fourier(a, args.n)), args)
         else:
             _emit(ser.encode_bdt(bdt_fourier(a, args.n)), args)
         return 0
     if cmd == "invert":
-        a = _load_element(args.a)
+        a = _load_element(args.a, BdElement, BdtElement)
         if isinstance(a, BdElement):
             ce = bd_invert(a, args.tol, args.max_band)
         else:
@@ -206,18 +201,16 @@ def _dispatch(args) -> int:
         _emit(ser.encode_certified(ce), args)
         return 0
     if cmd == "exp":
-        a = _load_element(args.a)
+        a = _load_element(args.a, BdElement, CompactMatrix)
         if isinstance(a, BdElement):
             ce = bd_exp(a, args.tol, args.max_band)
             _emit(ser.encode_certified(ce), args)
-        elif isinstance(a, CompactMatrix):
+        else:
             out = k_exp(a, parse_supernatural(args.S))
             _emit(ser.encode_bdt(out), args)
-        else:
-            raise ValueError("exp expects a band element or a compact matrix")
         return 0
     if cmd == "calc":
-        a = _load_element(args.a)
+        a = _load_element(args.a, BdtElement)
         raw = _read_json(args.coeffs)
         coeffs = {int(n): complex(v[0], v[1]) for n, v in raw.items()}
         ce = smooth_calc(a, coeffs, args.L, args.tol, args.tail_bound)
@@ -226,7 +219,7 @@ def _dispatch(args) -> int:
     if cmd == "derivation":
         d = ser.decode_derivation(_read_json(args.d))
         if args.dcommand == "apply":
-            _emit(ser.encode_bdt(der_apply(d, _load_element(args.a))), args)
+            _emit(ser.encode_bdt(der_apply(d, _load_element(args.a, BdtElement))), args)
         elif args.dcommand == "component":
             _emit(ser.encode_derivation(der_component(d, args.n)), args)
         else:
@@ -239,7 +232,7 @@ def _dispatch(args) -> int:
             return 0
         if not args.a:
             raise ValueError("index needs an element (or --k0-demo)")
-        a = _load_element(args.a)
+        a = _load_element(args.a, BdtElement)
         schedule = [int(s) for s in args.schedule.split(",")]
         r = fredholm_index(a, schedule, args.svd_threshold)
         _emit(ser.encode_index_result(r), args)

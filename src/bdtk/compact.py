@@ -6,64 +6,41 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from .scalars import phase_scalar, FLOAT_EQ_TOL
+from .scalars import phase_scalar
 from .sparse import ScalarMatrix
 
 
-class CompactMatrix:
+class CompactMatrix(ScalarMatrix):
     """Finitely many entries c_{ks} (k, s >= 0); no stored zeros."""
 
-    __slots__ = ("mat",)
+    __slots__ = ()
 
     def __init__(self, entries=None):
-        if isinstance(entries, ScalarMatrix):
-            mat = entries
-        else:
-            mat = ScalarMatrix(entries or {})
-        for (k, s) in mat.entries:
+        super().__init__(entries)
+        for (k, s) in self.entries:
             if k < 0 or s < 0:
                 raise ValueError("compact matrices live on nonnegative indices")
-        self.mat = mat
-
-    @property
-    def entries(self):
-        return self.mat.entries
-
-    @property
-    def is_exact(self) -> bool:
-        return self.mat.is_exact
-
-    def is_zero(self) -> bool:
-        return self.mat.is_zero()
 
     def support_bound(self) -> int:
         """Smallest W with all entries inside [0, W)^2."""
-        b = self.mat.support_bounds()
+        b = self.support_bounds()
         return 0 if b is None else max(b[1], b[3]) + 1
 
     def __add__(self, other):
-        return k_add(self, other)
+        return self.add(other)
 
     def __sub__(self, other):
-        return k_add(self, k_scale(-1, other))
+        return self.sub(other)
 
     def __mul__(self, other):
         if isinstance(other, CompactMatrix):
-            return k_mul(self, other)
-        return k_scale(other, self)
+            return self.matmul(other)
+        return self.scale(other)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return k_scale(-1, self)
-
-    def equal(self, other: "CompactMatrix", tol: float = FLOAT_EQ_TOL) -> bool:
-        return self.mat.equal(other.mat, tol)
-
-    def __repr__(self) -> str:
-        return f"CompactMatrix({len(self.entries)} entries)"
+        return self.scale(-1)
 
 
 def k_zero() -> CompactMatrix:
@@ -78,19 +55,19 @@ def k_units(k: int, s: int) -> CompactMatrix:
 
 
 def k_add(c1: CompactMatrix, c2: CompactMatrix) -> CompactMatrix:
-    return CompactMatrix(c1.mat.add(c2.mat))
+    return c1.add(c2)
 
 
 def k_mul(c1: CompactMatrix, c2: CompactMatrix) -> CompactMatrix:
-    return CompactMatrix(c1.mat.matmul(c2.mat))
+    return c1.matmul(c2)
 
 
 def k_adjoint(c: CompactMatrix) -> CompactMatrix:
-    return CompactMatrix(c.mat.adjoint())
+    return c.adjoint()
 
 
 def k_scale(z, c: CompactMatrix) -> CompactMatrix:
-    return CompactMatrix(c.mat.scale(z))
+    return c.scale(z)
 
 
 def k_dK(c: CompactMatrix) -> CompactMatrix:
@@ -136,6 +113,3 @@ def k_diagonal_range(c: CompactMatrix) -> int:
     """Largest |row - col| over the support."""
     return max((abs(k - s) for (k, s) in c.entries), default=0)
 
-
-def k_to_numpy(c: CompactMatrix, size: int) -> np.ndarray:
-    return c.mat.to_numpy(range(size), range(size))

@@ -124,19 +124,6 @@ def der_covariant_data(d: DerivationSpec, n: int) -> CovariantComponent:
     return CovariantComponent(n, beta)
 
 
-def der_component_quadrature(d_callable, n: int, band_limit: int, a: BdtElement) -> BdtElement:
-    """Roots-of-unity average (1/G) sum_j e^{2 pi i n j / G} rho_{-j/G} d rho_{j/G}(a),
-    G = 2 band_limit + 1; exact for band-limited derivations and exact inputs."""
-    G = 2 * band_limit + 1
-    acc = None
-    for j in range(G):
-        th = Fraction(j, G)
-        term = bdt_rho(d_callable(bdt_rho(a, th)), -th)
-        term = bdt_scale(Scalar.root_of_unity(n * j, G), term)
-        acc = term if acc is None else bdt_add(acc, term)
-    return bdt_scale(Fraction(1, G), acc)
-
-
 def der_check_covariance(d_n: DerivationSpec, n: int, a: BdtElement, theta_samples,
                          N: int = 48) -> float:
     """max over the samples of the truncated norm of

@@ -8,6 +8,7 @@ exact roots-of-unity combinations that are not rational complex use
 
 from __future__ import annotations
 
+import cmath
 import json
 from fractions import Fraction
 
@@ -41,6 +42,18 @@ def _decode_fraction(num, den) -> Fraction:
     return Fraction(int(num), int(den))
 
 
+def _finite(re, im) -> complex:
+    """complex(re, im) from JSON numbers; NaN, infinities and integers beyond
+    double range are malformed input."""
+    try:
+        z = complex(re, im)
+    except OverflowError:
+        raise ValueError("scalar value beyond double range") from None
+    if not cmath.isfinite(z):
+        raise ValueError("non-finite value in a scalar encoding")
+    return z
+
+
 def decode_scalar(obj) -> Scalar:
     if isinstance(obj, dict):
         n = int(obj["order"])
@@ -48,10 +61,12 @@ def decode_scalar(obj) -> Scalar:
             raise ValueError(f"scalar order must be positive, got {n}")
         terms = {int(k): _decode_fraction(p, q) for k, p, q in obj["terms"]}
         return Scalar._exact(n, terms)
-    if isinstance(obj, (int, float)):
-        return Scalar.from_number(obj if isinstance(obj, int) else float(obj))
+    if isinstance(obj, int):
+        return Scalar.from_number(obj)
+    if isinstance(obj, float):
+        return Scalar.from_complex(_finite(obj, 0.0))
     if len(obj) == 2:
-        return Scalar.from_complex(complex(obj[0], obj[1]))
+        return Scalar.from_complex(_finite(obj[0], obj[1]))
     if len(obj) == 4:
         return Scalar.from_fraction(_decode_fraction(obj[0], obj[1]),
                                     _decode_fraction(obj[2], obj[3]))
@@ -141,14 +156,8 @@ def decode_derivation(obj) -> DerivationSpec:
 
 
 def encode_certified(ce: CertifiedElement) -> dict:
-    val = ce.value
-    if isinstance(val, BdtElement):
-        enc = encode_bdt(val)
-    elif isinstance(val, BdElement):
-        enc = encode_bd(val)
-    else:
-        raise TypeError(f"cannot encode {type(val).__name__}")
-    return {"value": enc, "residual_bound": ce.residual_bound, "method": ce.method}
+    return {"value": encode_element(ce.value), "residual_bound": ce.residual_bound,
+            "method": ce.method}
 
 
 def encode_index_result(r: IndexResult) -> dict:
@@ -171,6 +180,19 @@ def decode_element(obj):
     if "gamma" in obj:
         return decode_derivation(obj)
     raise ValueError("unrecognized element payload")
+
+
+def encode_element(x) -> dict:
+    """The payload decode_element reads back as x."""
+    if isinstance(x, BdtElement):
+        return encode_bdt(x)
+    if isinstance(x, BdElement):
+        return encode_bd(x)
+    if isinstance(x, CompactMatrix):
+        return encode_compact(x)
+    if isinstance(x, DerivationSpec):
+        return encode_derivation(x)
+    raise TypeError(f"cannot encode {type(x).__name__}")
 
 
 def dumps(obj) -> str:

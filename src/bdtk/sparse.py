@@ -1,6 +1,6 @@
 """Finitely-supported matrices with Scalar entries over arbitrary integer
-indices.  Used for truncation windows, correction terms and as the backing
-store of compact matrices."""
+indices.  Used for truncation windows and as the base class of compact
+matrices; every operation returns the type of its receiver."""
 
 from __future__ import annotations
 
@@ -36,14 +36,14 @@ class ScalarMatrix:
         out = dict(self.entries)
         for k, v in other.entries.items():
             out[k] = out[k] + v if k in out else v
-        return ScalarMatrix(out)
+        return type(self)(out)
 
     def sub(self, other: "ScalarMatrix") -> "ScalarMatrix":
         return self.add(other.scale(-1))
 
     def scale(self, z) -> "ScalarMatrix":
         z = Scalar.from_number(z)
-        return ScalarMatrix({k: z * v for k, v in self.entries.items()})
+        return type(self)({k: z * v for k, v in self.entries.items()})
 
     def matmul(self, other: "ScalarMatrix") -> "ScalarMatrix":
         rows = defaultdict(list)
@@ -55,13 +55,13 @@ class ScalarMatrix:
                 key = (i, t)
                 p = v * w
                 acc[key] = acc[key] + p if key in acc else p
-        return ScalarMatrix(acc)
+        return type(self)(acc)
 
     def adjoint(self) -> "ScalarMatrix":
-        return ScalarMatrix({(j, i): v.conj() for (i, j), v in self.entries.items()})
+        return type(self)({(j, i): v.conj() for (i, j), v in self.entries.items()})
 
     def restrict(self, rows: range, cols: range) -> "ScalarMatrix":
-        return ScalarMatrix(
+        return type(self)(
             {k: v for k, v in self.entries.items() if k[0] in rows and k[1] in cols}
         )
 
@@ -105,4 +105,4 @@ class ScalarMatrix:
         )
 
     def __repr__(self) -> str:
-        return f"ScalarMatrix({len(self.entries)} entries)"
+        return f"{type(self).__name__}({len(self.entries)} entries)"

@@ -272,10 +272,10 @@ def suite_correction_exactness(seed: int = 7, cases: int = 200) -> VerifyReport:
         dig = _digest(encode_bd(b1), encode_bd(b2))
         window = b1.bandwidth + b2.bandwidth + 8
         C = correction(b1, b2)
-        ok = C.mat.restrict(range(window), range(window)).equal(
+        ok = C.restrict(range(window), range(window)).equal(
             _correction_oracle(b1, b2, window)
         )
-        bound = C.mat.support_bounds()
+        bound = C.support_bounds()
         if bound is not None:
             ok = ok and bound[1] < b1.bandwidth + b2.bandwidth and bound[3] < b2.bandwidth
         rep.add_exact(f"pair-{i:03d}/correction-oracle", dig, ok)

@@ -1,9 +1,11 @@
-"""Independent oracles used by the tests: truncated-window linear algebra and
-power-series summation, kept apart from the library's own computation paths."""
+"""Independent oracles used by the tests: truncated-window linear algebra,
+roots-of-unity quadrature of derivation components and power-series
+summation, kept apart from the library's own computation paths."""
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 from bdtk.bd import (
     BdElement,
@@ -14,7 +16,7 @@ from bdtk.bd import (
     bd_scale,
     bd_sup_coefficient_norm,
 )
-from bdtk.bdt import bdt_truncate, toeplitz
+from bdtk.bdt import BdtElement, bdt_add, bdt_rho, bdt_scale, bdt_truncate, toeplitz
 from bdtk.scalars import Scalar
 from bdtk.sparse import ScalarMatrix
 from bdtk.ulc import ulc_eval
@@ -41,6 +43,19 @@ def toeplitz_product_window(b1: BdElement, b2: BdElement, window: int) -> Scalar
     t1 = bdt_truncate(toeplitz(b1), N)
     t2 = bdt_truncate(toeplitz(b2), N)
     return t1.matmul(t2).restrict(range(window), range(window))
+
+
+def der_component_quadrature(d_callable, n: int, band_limit: int, a: BdtElement) -> BdtElement:
+    """Roots-of-unity average (1/G) sum_j e^{2 pi i n j / G} rho_{-j/G} d rho_{j/G}(a),
+    G = 2 band_limit + 1; exact for band-limited derivations and exact inputs."""
+    G = 2 * band_limit + 1
+    acc = None
+    for j in range(G):
+        th = Fraction(j, G)
+        term = bdt_rho(d_callable(bdt_rho(a, th)), -th)
+        term = bdt_scale(Scalar.root_of_unity(n * j, G), term)
+        acc = term if acc is None else bdt_add(acc, term)
+    return bdt_scale(Fraction(1, G), acc)
 
 
 def exp_power_series(b: BdElement, terms: int | None = None) -> tuple[BdElement, float]:

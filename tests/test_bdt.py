@@ -79,7 +79,7 @@ def test_correction_truncation_oracle(S23, rng):
         oracle = toeplitz_product_window(b1, b2, window).sub(
             bdt_truncate(toeplitz(bd_mul(b1, b2)), window)
         )
-        assert got.mat.restrict(range(window), range(window)).equal(oracle)
+        assert got.restrict(range(window), range(window)).equal(oracle)
         assert got.is_exact
 
 
@@ -88,7 +88,7 @@ def test_correction_support_bound(S23, rng):
         b1 = cp.rand_bd(rng, S23)
         b2 = cp.rand_bd(rng, S23)
         C = correction(b1, b2)
-        bounds = C.mat.support_bounds()
+        bounds = C.support_bounds()
         if bounds is not None:
             assert bounds[1] < b1.bandwidth + b2.bandwidth
             assert bounds[3] < b2.bandwidth

@@ -59,15 +59,17 @@ def test_level_crossings_found_below_the_sup():
 
 
 def test_sup_smax_within_dense_grid_bounds(S23, rng):
-    # a posteriori: sup <= grid max + L h / 2 for the Lipschitz bound L
+    # a posteriori: sup <= grid max + L h / 2 for the Lipschitz bound
+    # L = 2 pi sum_w |w| ||C_w||_2 of theta -> sigma_max(sum_w C_w e^{2 pi i w theta})
     G = 2 ** 12
     for _ in range(12):
         sym = bd_symbol(cp.rand_bd(rng, S23, n_bands=rng.randint(1, 3)))
         tol = 1e-9
         r = bloch.certified_sup_smax(sym, tol)
         grid_max = float(np.max(_dense_smax(sym, G)))
+        L = 2 * np.pi * sum(abs(w) * np.linalg.norm(C, 2) for w, C in sym.coeffs.items())
         assert r >= grid_max - tol
-        assert r <= grid_max + sym.lipschitz_bound() / (2 * G) + tol
+        assert r <= grid_max + L / (2 * G) + tol
 
 
 def test_inconclusive_root_test_gives_no_certificate(monkeypatch):

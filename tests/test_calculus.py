@@ -42,7 +42,7 @@ from bdtk.calculus import (
     k_exp,
     smooth_calc,
 )
-from bdtk.compact import CompactMatrix, k_to_numpy, k_units
+from bdtk.compact import CompactMatrix, k_units
 from bdtk.errors import NotInvertibleError
 from bdtk.scalars import Scalar
 from bdtk.ulc import ulc, ulc_eval, ulc_refine
@@ -178,7 +178,7 @@ def test_k_exp_unitary_on_block(S23, rng):
         c = cp.rand_selfadjoint_compact(rng, top=6)
         e = k_exp(c, S23)
         W = max(c.support_bound(), e.compact.support_bound(), 1)
-        block = k_to_numpy(e.compact, W) + np.eye(W)
+        block = e.compact.to_numpy(range(W), range(W)) + np.eye(W)
         assert np.abs(block @ block.conj().T - np.eye(W)).max() < 1e-12
 
 
@@ -194,7 +194,7 @@ def test_smooth_calc_diagonal_oracle(S23):
     coeffs = {1: 0.5, -1: 0.5}  # cos
     res = smooth_calc(a, coeffs, 2 * math.pi, 1e-7)
     out = res.value
-    assert out.compact.mat.smax() <= 1e-7
+    assert out.compact.smax() <= 1e-7
     vals = [v.to_complex() for v in ulc_refine(out.symbol.bands[0], 2)]
     for v, x in zip(vals, [0.5, -0.25]):
         assert abs(v - math.cos(x)) <= 1e-7

@@ -12,7 +12,10 @@ from bdtk import bloch
 from bdtk import serialize as ser
 from bdtk.arith import Supernatural, INF
 from bdtk.bd import bd_add, bd_v
+from bdtk.bdt import bdt_u
 from bdtk.cli import cli_dispatch
+from bdtk.compact import k_units
+from bdtk.derivations import derivation
 from bdtk.verify import run_suite, report_to_json
 
 
@@ -61,8 +64,6 @@ def test_mul_and_tau(tmp_path, capsys, vpv_file):
 
 
 def test_index_of_shift_element(tmp_path, capsys, S23):
-    from bdtk.bdt import bdt_u
-
     path = _write(tmp_path, "u.json", ser.encode_bdt(bdt_u(S23, 1)))
     assert cli_dispatch(["index", path]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -121,18 +122,49 @@ def test_out_flag(tmp_path, capsys, vpv_file):
 _S23_JSON = [[2, "inf"], [3, 1]]
 
 
-@pytest.mark.parametrize("cmd,value", [
-    ("adjoint", [1, 0, 0, 1]),
-    ("adjoint", [1, 1, 0, 0]),
-    ("adjoint", {"order": 3, "terms": [[1, 1, 0]]}),
-    ("adjoint", {"order": 0, "terms": [[0, 1, 1]]}),
-    ("norm", [1e308, 1e308]),
-], ids=["re-den-0", "im-den-0", "term-den-0", "order-0", "norm-overflow"])
-def test_malformed_value_exit_code(tmp_path, capsys, cmd, value):
-    path = _write(tmp_path, "bad.json",
-                  {"S": _S23_JSON, "bands": [[1, {"period": 1, "values": [value]}]]})
-    assert cli_dispatch([cmd, path]) == 2
+@pytest.mark.parametrize("argv,value", [
+    (["adjoint"], [1, 0, 0, 1]),
+    (["adjoint"], [1, 1, 0, 0]),
+    (["adjoint"], {"order": 3, "terms": [[1, 1, 0]]}),
+    (["adjoint"], {"order": 0, "terms": [[0, 1, 1]]}),
+    (["norm"], [1e308, 1e308]),
+    (["adjoint"], [float("nan"), 0.0]),
+    (["adjoint"], float("nan")),
+    (["invert"], [float("inf"), 0.0]),
+    (["adjoint"], [10 ** 400, 0]),
+    (["gs", "--S", "2:inf", "--q", "1/0"], None),
+    (["gs", "--S", "2:inf", "--add", "1/0", "1/2"], None),
+], ids=["re-den-0", "im-den-0", "term-den-0", "order-0", "norm-overflow", "nan-pair",
+        "nan-number", "inf-pair", "huge-int-pair", "gs-q-den-0", "gs-add-den-0"])
+def test_malformed_value_exit_code(tmp_path, capsys, argv, value):
+    if value is not None:
+        argv = argv + [_write(tmp_path, "bad.json",
+                              {"S": _S23_JSON, "bands": [[1, {"period": 1, "values": [value]}]]})]
+    assert cli_dispatch(argv) == 2
     assert "error" in json.loads(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["mul", "bd", "bdt"],
+    ["mul", "bdt", "bd"],
+    ["adjoint", "compact"],
+    ["fourier", "compact", "-n", "1"],
+    ["invert", "compact"],
+    ["toeplitz", "bdt"],
+    ["correction", "bd", "bdt"],
+    ["tau", "bd"],
+    ["index", "bd"],
+    ["calc", "bd", "--coeffs", "coeffs", "--L", "1"],
+    ["derivation", "apply", "der", "bd"],
+], ids=["mul-bd-bdt", "mul-bdt-bd", "adjoint-compact", "fourier-compact", "invert-compact",
+        "toeplitz-bdt", "correction-bdt", "tau-bd", "index-bd", "calc-bd", "derivation-apply-bd"])
+def test_wrong_element_type_exit_code(tmp_path, capsys, S23, argv):
+    payloads = {"bd": ser.encode_bd(bd_v(S23, 1)), "bdt": ser.encode_bdt(bdt_u(S23, 1)),
+                "compact": ser.encode_compact(k_units(0, 1)), "coeffs": {"1": [1.0, 0.0]},
+                "der": ser.encode_derivation(derivation(S23, gamma=1))}
+    argv = [_write(tmp_path, f"{a}.json", payloads[a]) if a in payloads else a for a in argv]
+    assert cli_dispatch(argv) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "BAD_INPUT"
 
 
 def test_uncertifiable_norm_is_json_error(tmp_path, capsys, monkeypatch):

@@ -38,8 +38,8 @@ def test_mul_matches_dense(rng):
         c1 = cp.rand_compact(rng)
         c2 = cp.rand_compact(rng)
         W = max(c1.support_bound(), c2.support_bound())
-        d = k_mul(c1, c2).mat.to_numpy(range(W), range(W))
-        d_oracle = c1.mat.to_numpy(range(W), range(W)) @ c2.mat.to_numpy(range(W), range(W))
+        d = k_mul(c1, c2).to_numpy(range(W), range(W))
+        d_oracle = c1.to_numpy(range(W), range(W)) @ c2.to_numpy(range(W), range(W))
         assert np.abs(d - d_oracle).max() < 1e-12
 
 

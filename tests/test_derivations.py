@@ -13,7 +13,6 @@ from bdtk.derivations import (
     der_check_covariance,
     der_component,
     der_component_bound,
-    der_component_quadrature,
     der_covariant_data,
     der_leibniz_residual,
     der_reconstruct,
@@ -22,6 +21,8 @@ from bdtk.derivations import (
 from bdtk.errors import ReconstructionMismatchError, UnsupportedDerivationError
 from bdtk.scalars import Scalar
 from bdtk.ulc import ulc
+
+from .oracles import der_component_quadrature
 
 
 def test_apply_examples(S23):
