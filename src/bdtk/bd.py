@@ -230,8 +230,7 @@ def bd_symbol(b: BdElement) -> bloch.SymbolMatrix:
 
 def bd_norm(b: BdElement, tol: float) -> float:
     """Operator norm on the two-sided sequence space, certified within tol."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    bloch.check_tol(tol)
     if b.is_zero():
         return 0.0
     return bloch.certified_sup_smax(bd_symbol(b), tol)
@@ -240,8 +239,7 @@ def bd_norm(b: BdElement, tol: float) -> float:
 def bd_p_norm(b: BdElement, P: int, tol: float) -> float:
     """sum_{j<=P} binom(P, j) ||delta_L^j b||, each norm certified with budget
     tol / 2^{j+1} (total error at most tol * 2^P)."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    bloch.check_tol(tol)
     if P < 0:
         raise ValueError("P must be nonnegative")
     total = 0.0

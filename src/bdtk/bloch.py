@@ -19,15 +19,20 @@ tried.  Root location uses a companion matrix for moderate degrees and zero
 counting on a thin annulus (argument principle) for large ones; the annulus
 count only proves the absence of crossings, so when it finds some (or cannot
 decide) no certificate is given unless a higher level is proved clear.
+
+The roots of z^(lD) det B(z) also certify that B is invertible on the circle
+(symbol_invertibility), and counting those inside it gives the winding number
+of det B (det_winding), hence the Fredholm index of T(b).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ToleranceUnreachableError
+from .errors import NotInvertibleError, ToleranceUnreachableError
 
 _TWO_PI = 2.0 * np.pi
 # a root of det B(z) this close to the unit circle makes the symbol singular
@@ -61,6 +66,13 @@ def grid_size(floor: int, need: int) -> int:
     while G < need:
         G *= 2
     return G
+
+
+def check_tol(tol: float) -> None:
+    """A tolerance must be a finite positive number: NaN, infinities and
+    values <= 0 raise ValueError."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
 
 
 def symbol_from_bands(l: int, band_values: dict[int, np.ndarray]) -> SymbolMatrix:
@@ -131,16 +143,18 @@ def _laurent_det_poly(coeff_mats: dict[int, np.ndarray], l: int) -> tuple[np.nda
     return c[:deg + 1], 8.0 * float(np.max(np.abs(c[deg + 1:])))
 
 
-def _winding(values_at, M: int) -> int | None:
-    """Winding number around 0 of a closed curve, by argument accumulation.
+def _winding_on_circle(poly_lo2hi: np.ndarray, radius: float) -> int | None:
+    """Number of zeros inside |z| < radius by the argument principle.
 
-    values_at(M) returns the curve at the M equispaced parameters k / M; up to
+    The polynomial is sampled at M equispaced points of the circle; up to
     eight grids are tried, doubling M, until every phase step is below 1.5 rad
-    and the total is within 1e-6 of an integer.  None when the curve comes within
-    1e-290 of 0 on a grid or the steps never resolve, which callers treat as
-    an inconclusive outcome."""
+    and the total is within 1e-6 of an integer.  None when the polynomial comes
+    within 1e-290 of 0 on a grid or the steps never resolve (roots essentially
+    on the sampling circle), which callers treat conservatively."""
+    hi2lo = poly_lo2hi[::-1]
+    M = grid_size(4096, 32 * max(len(poly_lo2hi) - 1, 1))
     for _ in range(8):
-        vals = values_at(M)
+        vals = np.polyval(hi2lo, radius * np.exp(2j * np.pi * np.arange(M) / M))
         if np.min(np.abs(vals)) <= 1e-290:
             return None
         args = np.angle(vals)
@@ -155,14 +169,21 @@ def _winding(values_at, M: int) -> int | None:
     return None
 
 
-def _winding_on_circle(poly_lo2hi: np.ndarray, radius: float) -> int | None:
-    """Number of zeros inside |z| < radius by the argument principle; None if
-    inconclusive (roots essentially on the sampling circle), which callers
-    treat conservatively."""
-    deg = len(poly_lo2hi) - 1
-    hi2lo = poly_lo2hi[::-1]
-    return _winding(lambda M: np.polyval(hi2lo, radius * np.exp(2j * np.pi * np.arange(M) / M)),
-                    grid_size(4096, 32 * max(deg, 1)))
+def _strip_noise(poly_lo2hi: np.ndarray, noise: float) -> tuple[np.ndarray, int] | None:
+    """The polynomial without the coefficients at or below the round-off level
+    noise at either end, and the number stripped from the low end (roots at
+    z = 0); those stripped from the high end are roots at infinity.  None when
+    every coefficient is round-off.
+
+    Coefficients are stripped one at a time from the ends only: a round-off
+    term left in the leading position would otherwise put roots near the
+    origin or near infinity and push the unimodular ones off the circle."""
+    p = np.asarray(poly_lo2hi, dtype=complex)
+    keep = np.abs(p) > max(noise, 1e-300)
+    if not keep.any():
+        return None
+    first = int(np.argmax(keep))
+    return p[first:len(p) - int(np.argmax(keep[::-1]))], first
 
 
 def circle_root_angles(poly_lo2hi: np.ndarray, delta: float = 1e-7,
@@ -170,24 +191,18 @@ def circle_root_angles(poly_lo2hi: np.ndarray, delta: float = 1e-7,
     """Angles (in turns) of polynomial roots within delta of the unit circle.
 
     noise is the absolute round-off level of the coefficients (0 for exact
-    ones).  Coefficients at or below it are stripped from both ends, one at a
-    time: a round-off term left in the leading position would otherwise put
-    roots near the origin or near infinity and push the unimodular ones off
-    the circle.
+    ones); coefficients at or below it are stripped from both ends
+    (_strip_noise).
 
     Returns (angles, certified).  certified=True means the list holds every
     root within delta of the circle (an empty list: there is none);
     certified=False means the test was inconclusive and the angles are only
     candidate locations.
     """
-    p = np.asarray(poly_lo2hi, dtype=complex)
-    floor = max(noise, 1e-300)
-    keep = np.abs(p) > floor
-    if not keep.any():
+    stripped = _strip_noise(poly_lo2hi, noise)
+    if stripped is None:
         return [0.0], False  # determinant vanishes to round-off: degenerate
-    first = int(np.argmax(keep))
-    last = len(p) - int(np.argmax(keep[::-1]))
-    p = p[first:last]
+    p = stripped[0]
     deg = len(p) - 1
     if deg <= 0:
         return [], True
@@ -262,9 +277,8 @@ def certified_sup_smax(sym: SymbolMatrix, tol: float) -> float:
     candidate angles are evaluated the same way and m is raised if they beat
     it; if they do not, no certificate is given and ToleranceUnreachableError
     is raised.  A symbol whose Gram coefficients overflow is out of range
-    (ValueError)."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    (ValueError), and so is a tol that check_tol rejects."""
+    check_tol(tol)
     W = sym.wrap_degree()
     if W == 0:
         return float(_smax_batch(sym.at_many(np.zeros(1)))[0])
@@ -307,11 +321,30 @@ def symbol_invertibility(sym: SymbolMatrix) -> tuple[bool, float]:
     return True, smin
 
 
-def winding_of_det(sym: SymbolMatrix) -> int:
-    """Winding number of theta -> det B(e^{2 pi i theta}) around 0, by
-    argument accumulation on a refined grid."""
-    w = _winding(lambda G: np.linalg.det(sym.at_many(np.arange(G) / G)),
-                 grid_size(1024, 16 * (sym.wrap_degree() * sym.period + 1)))
-    if w is None:
-        raise RuntimeError("winding accumulation did not resolve")
-    return w
+def det_winding(sym: SymbolMatrix) -> int:
+    """Winding number of theta -> det B(e^{2 pi i theta}) around 0.
+
+    By the argument principle it is #{roots of p in |z| < 1} - lD for
+    p(z) = z^(lD) det B(z), the polynomial symbol_invertibility certifies,
+    with its round-off ends stripped the same way: the low-end coefficients
+    are roots at z = 0 (inside), the high-end ones roots at infinity.  Up to
+    degree 512 the companion-matrix roots are counted; above, the zeros inside
+    |z| < 1 - INVERTIBILITY_DELTA by the argument principle.  The caller
+    certifies invertibility first (symbol_invertibility), so no root lies
+    within INVERTIBILITY_DELTA of the circle and both counts are exact;
+    NotInvertibleError if the determinant vanishes to round-off or the
+    annulus count does not resolve."""
+    l = sym.period
+    poly, noise = _laurent_det_poly(sym.coeffs, l)
+    stripped = _strip_noise(poly, noise)
+    if stripped is None:
+        raise NotInvertibleError("det B vanishes to round-off")
+    p, at_zero = stripped
+    deg = len(p) - 1
+    if deg <= 512:
+        inside = int(np.count_nonzero(np.abs(np.roots(p[::-1])) < 1.0))
+    else:
+        inside = _winding_on_circle(p, 1.0 - INVERTIBILITY_DELTA)
+        if inside is None:
+            raise NotInvertibleError("zero count of det B near the circle did not resolve")
+    return at_zero + inside - l * sym.wrap_degree()

@@ -88,8 +88,7 @@ def bd_invert(b: BdElement, tol: float, max_band: int) -> CertifiedElement:
     transformed back to bands truncated at max_band; the residual
     r = ||b b~ - 1|| is computed from the exact band product and a certified
     norm, giving ||b^{-1} - b~|| <= ||b~|| r / (1 - r)."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    bloch.check_tol(tol)
     if max_band < 1:
         raise ValueError("max_band must be positive")
     if b.is_zero():
@@ -144,8 +143,7 @@ def bdt_invert(a: BdtElement, tol: float, sizes) -> CertifiedElement:
     r >= 1 on the full schedule means the element is not invertible (e.g. a
     nonzero Fredholm index)."""
     sizes = list(sizes)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    bloch.check_tol(tol)
     if not sizes:
         raise ValueError("need at least one truncation size")
     b, c = a.symbol, a.compact
@@ -229,8 +227,7 @@ def bd_exp(b: BdElement, tol: float, max_band: int) -> CertifiedElement:
     roots-of-unity grid; bands are read off by inverse DFT and truncated.  The
     residual estimate compares grids of doubled resolution and adds the
     dropped band tail."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    bloch.check_tol(tol)
     if not bd_is_selfadjoint(b, tol=1e-12):
         raise ValueError("bd_exp needs a self-adjoint element")
     S, l = b.S, b.period
@@ -350,8 +347,7 @@ def smooth_calc(a: BdtElement, fourier_coeffs: dict[int, complex], L, tol: float
     """f(a) = sum_n f_n e^{2 pi i n a / L} for self-adjoint a and finitely
     supported coefficients; the caller supplies the tail bound of the series
     it truncated, which is added to the certificate."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    bloch.check_tol(tol)
     if not bdt_is_selfadjoint(a, tol=1e-12):
         raise ValueError("smooth_calc needs a self-adjoint element")
     coeffs = {int(n): complex(v) for n, v in fourier_coeffs.items() if complex(v) != 0}

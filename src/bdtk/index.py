@@ -1,11 +1,20 @@
-"""Numerical Fredholm index and small K-theoretic demonstrations.
+"""Fredholm index from the certified symbol, cross-checked on truncations,
+and small K-theoretic demonstrations.
 
-Kernel and cokernel dimensions are counted from singular values of
-rectangular corners: for a band-plus-finite operator, the [0, N + pad) x
-[0, N) corner annihilates exactly the finitely supported kernel vectors and
-nearly annihilates the rapidly decaying ones, while avoiding the spurious
-right-edge kernel of square truncations.  The index is reported once the
-count stabilizes across the schedule with a clean singular-value gap."""
+With period l the half line starts on a block boundary, so T(b) is the block
+Toeplitz operator with the l x l symbol B(z), and a compact c does not change
+the index: ind(T(b) + c) = -wind det B (Gohberg-Krein; Boettcher &
+Silbermann, Analysis of Toeplitz Operators, 2nd ed. 2006, ch. 6).  The
+winding number is the root count bloch.det_winding reads off the polynomial
+whose roots certify that B is invertible on the circle.
+
+Kernel and cokernel dimensions counted from singular values of rectangular
+corners cross-check that count: for a band-plus-finite operator, the
+[0, N + pad) x [0, N) corner annihilates exactly the finitely supported
+kernel vectors and nearly annihilates the rapidly decaying ones, while
+avoiding the spurious right-edge kernel of square truncations.  The sizes are
+tried in ascending order until three consecutive ones agree with the count
+with a clean singular-value gap."""
 
 from __future__ import annotations
 
@@ -17,7 +26,19 @@ import numpy as np
 from . import bloch
 from .arith import Supernatural, gs_contains, embed_int, sn_divisors_upto
 from .bd import BdElement, bd_symbol
-from .bdt import BdtElement, bdt_adjoint, bdt_mul, bdt_window_numpy, bdt_u, tau
+from .bdt import (
+    BdtElement,
+    bdt_add,
+    bdt_adjoint,
+    bdt_equal,
+    bdt_from_compact,
+    bdt_mul,
+    bdt_one,
+    bdt_u,
+    bdt_window_numpy,
+    tau,
+)
+from .compact import k_units
 from .errors import NotFredholmError, NotInvertibleError, UnstableIndexError
 
 
@@ -46,35 +67,37 @@ def _near_kernel_count(a: BdtElement, N: int, pad: int, threshold: float) -> tup
 
 def fredholm_index(a: BdtElement, schedule=(64, 128, 256, 512),
                    svd_threshold: float = 1e-8) -> IndexResult:
-    """dim ker - dim coker across the truncation schedule.
+    """ind a = -wind det B, certified from the symbol and cross-checked on
+    the truncation schedule.
 
-    Requires the symbol to be invertible (certified on the circle); raises
-    UnstableIndexError when the counts do not stabilize over the last three
-    sizes or the singular-value gap is too shallow."""
+    Requires the symbol to be invertible (certified on the circle).  The
+    sizes are tried in ascending order; the result is returned once three
+    consecutive sizes give dim ker - dim coker equal to the certified index,
+    each with a singular-value gap ratio of at least 1e3.  kernel_dims lists
+    the sizes tried.  UnstableIndexError when the schedule runs out first."""
     schedule = sorted(set(int(n) for n in schedule))
     if len(schedule) < 3:
         raise ValueError("schedule needs at least three sizes")
     b = tau(a)
     if b.is_zero():
         raise NotFredholmError("symbol is zero")
-    ok, smin = bloch.symbol_invertibility(bd_symbol(b))
+    sym = bd_symbol(b)
+    ok, smin = bloch.symbol_invertibility(sym)
     if not ok:
         raise NotFredholmError(f"symbol not invertible (grid sigma_min {smin:.3e})")
+    index = -bloch.det_winding(sym)
     pad = max(b.bandwidth, 1) + a.compact.support_bound()
     astar = bdt_adjoint(a)
     dims = []
-    clean = []
+    confirmed = 0
     for N in schedule:
         ker, gap1 = _near_kernel_count(a, N, pad, svd_threshold)
         coker, gap2 = _near_kernel_count(astar, N, pad, svd_threshold)
         dims.append((N, ker, coker))
-        clean.append(min(gap1, gap2) >= 1e3)
-    vals = [k - c for (_, k, c) in dims]
-    stable = len(set(vals[-3:])) == 1 and all(clean[-3:])
-    result = IndexResult(vals[-1], tuple(dims), stable)
-    if not stable:
-        raise UnstableIndexError(f"index did not stabilize: {dims}")
-    return result
+        confirmed = confirmed + 1 if ker - coker == index and min(gap1, gap2) >= 1e3 else 0
+        if confirmed == 3:
+            return IndexResult(index, tuple(dims), True)
+    raise UnstableIndexError(f"truncation counts {dims} do not confirm the index {index}")
 
 
 def winding(b: BdElement) -> int:
@@ -83,13 +106,17 @@ def winding(b: BdElement) -> int:
     ok, smin = bloch.symbol_invertibility(sym)
     if not ok:
         raise NotInvertibleError(f"symbol not invertible (grid sigma_min {smin:.3e})")
-    return bloch.winding_of_det(sym)
+    return bloch.det_winding(sym)
 
 
 def k0_demo(S: Supernatural) -> dict:
     """Structured report: G_S membership table, the index of the shift
     generator, index additivity on demo pairs, and the finite-level
-    quotient demonstration (every embedded integer is trivial mod Z)."""
+    quotient demonstration.
+
+    The quotient rows check exactly that T(V)^* T(V) = 1 and
+    T(V) T(V)^* + e_00 = 1, which make [e_00] = 0, and so k [e_00] = 0 for
+    every integer k, in K_0 of the Toeplitz algebra."""
     samples = [
         Fraction(3, 8), Fraction(1, 3), Fraction(1, 2), Fraction(5, 6),
         Fraction(-7, 4), Fraction(2, 1), Fraction(1, 9), Fraction(11, 12),
@@ -109,9 +136,13 @@ def k0_demo(S: Supernatural) -> dict:
                            "ind_product": i12, "additive": i12 == i1 + i2})
     levels = sn_divisors_upto(S, 16)
     level = levels[-1] if levels else 1
+    v = bdt_u(S, 1)
+    v_star = bdt_adjoint(v)
+    one = bdt_one(S)
+    trivial = (bdt_equal(bdt_mul(v_star, v), one)
+               and bdt_equal(bdt_add(bdt_mul(v, v_star), bdt_from_compact(S, k_units(0, 0))), one))
     quotient = [
-        {"k": k, "residue": embed_int(k, level).value,
-         "trivial_in_quotient": True}  # integers generate the embedded copy of Z
+        {"k": k, "residue": embed_int(k, level).value, "trivial_in_quotient": trivial}
         for k in (-3, 0, 1, 7, level, level + 2)
     ]
     return {

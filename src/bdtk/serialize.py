@@ -22,6 +22,23 @@ from .index import IndexResult
 from .scalars import Scalar
 from .ulc import UlcFunction, ulc
 
+# Caps on decoded sizes, far above the JSON the tests and the benchmark decode
+# (orders, periods and band indices up to 12, 12 and 4): the cost of exact
+# arithmetic grows faster than linearly in the cyclotomic order, and a band
+# index sets the degree of every symbol polynomial, so an uncapped value can
+# keep a command running without bound.
+MAX_ORDER = 1024
+MAX_PERIOD = 1024
+MAX_BAND = 1024
+
+
+def _capped(name: str, value, cap: int) -> int:
+    """int(value), or ValueError when its magnitude exceeds cap."""
+    n = int(value)
+    if abs(n) > cap:
+        raise ValueError(f"{name} {n} exceeds the cap {cap}")
+    return n
+
 
 def encode_scalar(z: Scalar):
     if not z.is_exact:
@@ -56,7 +73,7 @@ def _finite(re, im) -> complex:
 
 def decode_scalar(obj) -> Scalar:
     if isinstance(obj, dict):
-        n = int(obj["order"])
+        n = _capped("scalar order", obj["order"], MAX_ORDER)
         if n < 1:
             raise ValueError(f"scalar order must be positive, got {n}")
         terms = {int(k): _decode_fraction(p, q) for k, p, q in obj["terms"]}
@@ -81,8 +98,9 @@ def encode_ulc(f: UlcFunction) -> dict:
 
 
 def decode_ulc(obj) -> UlcFunction:
+    period = _capped("period", obj["period"], MAX_PERIOD)
     vals = [decode_scalar(v) for v in obj["values"]]
-    if len(vals) != int(obj["period"]):
+    if len(vals) != period:
         raise ValueError("period does not match value count")
     return ulc(vals)
 
@@ -120,7 +138,8 @@ def encode_bd(b: BdElement) -> dict:
 
 def decode_bd(obj) -> BdElement:
     S = decode_supernatural(obj["S"])
-    return bd_element(S, {int(n): decode_ulc(f) for n, f in obj["bands"]})
+    return bd_element(S, {_capped("band index", n, MAX_BAND): decode_ulc(f)
+                          for n, f in obj["bands"]})
 
 
 def encode_compact(c: CompactMatrix) -> dict:

@@ -1,11 +1,14 @@
 """Independent oracles used by the tests: truncated-window linear algebra,
-roots-of-unity quadrature of derivation components and power-series
-summation, kept apart from the library's own computation paths."""
+roots-of-unity quadrature of derivation components, power-series summation
+and phase accumulation of det B, kept apart from the library's own
+computation paths."""
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+import numpy as np
 
 from bdtk.bd import (
     BdElement,
@@ -17,6 +20,7 @@ from bdtk.bd import (
     bd_sup_coefficient_norm,
 )
 from bdtk.bdt import BdtElement, bdt_add, bdt_rho, bdt_scale, bdt_truncate, toeplitz
+from bdtk.bloch import SymbolMatrix
 from bdtk.scalars import Scalar
 from bdtk.sparse import ScalarMatrix
 from bdtk.ulc import ulc_eval
@@ -74,3 +78,20 @@ def exp_power_series(b: BdElement, terms: int | None = None) -> tuple[BdElement,
         acc = bd_add(acc, term)
     tail = nrm ** (terms + 1) / math.factorial(terms + 1) * math.exp(nrm)
     return acc, tail
+
+
+def det_winding_by_phase(sym: SymbolMatrix) -> int:
+    """Winding number of theta -> det B(e^{2 pi i theta}) around 0, by
+    argument accumulation over an equispaced grid, doubled until every phase
+    step is below 1.5 rad and the total is within 1e-6 of an integer."""
+    G = 1024
+    while G < 16 * (sym.wrap_degree() * sym.period + 1):
+        G *= 2
+    for _ in range(8):
+        d = np.linalg.det(sym.at_many(np.arange(G) / G))
+        steps = np.angle(np.roll(d, -1) / d)
+        total = steps.sum() / (2 * np.pi)
+        if np.max(np.abs(steps)) < 1.5 and abs(total - round(total)) < 1e-6:
+            return int(round(total))
+        G *= 2
+    raise AssertionError("phase accumulation did not resolve")

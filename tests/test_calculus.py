@@ -15,9 +15,11 @@ from bdtk.bd import (
     bd_mul,
     bd_norm,
     bd_one,
+    bd_p_norm,
     bd_scalar,
     bd_scale,
     bd_sub,
+    bd_symbol,
     bd_v,
     bd_zero,
 )
@@ -33,6 +35,7 @@ from bdtk.bdt import (
     tau,
     toeplitz,
 )
+from bdtk.bloch import certified_sup_smax
 from bdtk.calculus import (
     bd_exp,
     bd_invert,
@@ -159,6 +162,19 @@ def test_exp_residual_sound_against_power_series(S23, rng):
         diff = bd_sub(cert.value, oracle)
         d = 0.0 if diff.is_zero() else bd_norm(diff, 1e-10)
         assert d <= cert.residual_bound + tail + 1e-9
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-9])
+def test_bad_tolerance_rejected(S23, tol):
+    b = bd_add(bd_scalar(S23, 3), bd_v(S23, 1))
+    h = bd_add(bd_v(S23, 1), bd_v(S23, -1))
+    calls = [lambda: bd_norm(b, tol), lambda: bd_p_norm(b, 1, tol),
+             lambda: certified_sup_smax(bd_symbol(b), tol), lambda: bd_invert(b, tol, 8),
+             lambda: bdt_invert(toeplitz(b), tol, [64]), lambda: bd_exp(h, tol, 8),
+             lambda: smooth_calc(toeplitz(h), {0: 1.0}, 1.0, tol)]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_exp_requires_selfadjoint(S23):

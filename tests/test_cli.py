@@ -144,6 +144,25 @@ def test_malformed_value_exit_code(tmp_path, capsys, argv, value):
     assert "error" in json.loads(capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("cmd", ["norm", "invert"])
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_nonfinite_tol_exit_code(capsys, vpv_file, cmd, tol):
+    assert cli_dispatch([cmd, vpv_file, "--tol", tol]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "BAD_INPUT"
+
+
+@pytest.mark.parametrize("bands", [
+    [[1, {"period": 1, "values": [{"order": ser.MAX_ORDER + 1, "terms": [[1, 1, 1]]}]}]],
+    [[1, {"period": 2 * ser.MAX_PERIOD, "values": [[1, 1, 0, 1]] * (2 * ser.MAX_PERIOD)}]],
+    [[ser.MAX_BAND + 1, {"period": 1, "values": [[1, 1, 0, 1]]}]],
+    [[-ser.MAX_BAND - 1, {"period": 1, "values": [[1, 1, 0, 1]]}]],
+], ids=["order", "period", "band", "negative-band"])
+def test_decode_cap_exit_code(tmp_path, capsys, bands):
+    path = _write(tmp_path, "big.json", {"S": _S23_JSON, "bands": bands})
+    assert cli_dispatch(["adjoint", path]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "BAD_INPUT"
+
+
 @pytest.mark.parametrize("argv", [
     ["mul", "bd", "bdt"],
     ["mul", "bdt", "bd"],

@@ -1,16 +1,32 @@
+import json
+import random
 from fractions import Fraction
 
 import pytest
 
+from bdtk import bloch
 from bdtk import corpus as cp
+from bdtk import serialize as ser
 from bdtk.arith import Supernatural, INF
-from bdtk.bd import bd_element, bd_m, bd_v
-from bdtk.bdt import bdt_add, bdt_from_compact, bdt_mul, bdt_one, bdt_u, toeplitz
+from bdtk.bd import bd_element, bd_m, bd_mul, bd_symbol, bd_v
+from bdtk.bdt import (
+    bdt_add,
+    bdt_adjoint,
+    bdt_equal,
+    bdt_from_compact,
+    bdt_mul,
+    bdt_one,
+    bdt_u,
+    toeplitz,
+)
+from bdtk.cli import cli_dispatch
 from bdtk.compact import k_scale, k_units
-from bdtk.errors import NotFredholmError, NotInvertibleError
+from bdtk.errors import NotFredholmError, NotInvertibleError, UnstableIndexError
 from bdtk.index import fredholm_index, k0_demo, winding
 from bdtk.scalars import Scalar
 from bdtk.ulc import ulc
+
+from .oracles import det_winding_by_phase
 
 
 def _invertible_ulc(rng, period):
@@ -94,9 +110,54 @@ def test_winding_examples(S23):
 
 
 def test_winding_index_cross_oracle(S23, rng):
+    pool = [cp.rand_invertible_bd(rng, S23)[0] for _ in range(6)]
+    for b in pool:
+        assert winding(b) == det_winding_by_phase(bd_symbol(b))
     for _ in range(10):
-        b, w = cp.rand_invertible_bd(rng, S23)
-        assert fredholm_index(toeplitz(b), schedule=(64, 128, 256)).index == -winding(b)
+        b1, b2 = rng.choice(pool), rng.choice(pool)
+        b12 = bd_mul(b1, b2)
+        w = det_winding_by_phase(bd_symbol(b12))
+        assert winding(b12) == w
+        prod = bdt_mul(toeplitz(b1), toeplitz(b2))
+        assert fredholm_index(prod, schedule=(64, 128, 256)).index == -w
+
+
+def test_winding_above_degree_512(S23, monkeypatch):
+    # bands +-264 at period 12 are wrap powers +-22, so z^264 det B(z) has
+    # degree 528 with end coefficients far above round-off, and its zeros are
+    # counted on a circle inside the unit circle instead of by companion-matrix
+    # roots.  B is diagonal; each residue where band 264 dominates band -264
+    # adds 22 to the winding number, each other residue subtracts 22.
+    rng = random.Random(12)
+
+    def band(moduli):
+        return ulc([Scalar.from_fraction(Fraction(rng.choice([1, -1])) * m,
+                                         Fraction(rng.randint(-1, 1), 16))
+                    for m in moduli])
+
+    big = [Fraction(2)] * 8 + [Fraction(1, 2)] * 4
+    b = bd_element(S23, {264: band(big), 0: band([Fraction(1, 16)] * 12),
+                         -264: band([1 / m for m in big])})
+    annulus_counts = []
+    count_on_circle = bloch._winding_on_circle
+
+    def spy(p, radius):
+        annulus_counts.append(len(p) - 1)
+        return count_on_circle(p, radius)
+
+    monkeypatch.setattr(bloch, "_winding_on_circle", spy)
+    assert winding(b) == det_winding_by_phase(bd_symbol(b)) == 22 * (8 - 4)
+    assert annulus_counts and min(annulus_counts) == 528
+
+
+def test_wrong_count_fails_the_cross_check(tmp_path, capsys, monkeypatch, S23):
+    monkeypatch.setattr(bloch, "det_winding", lambda sym: 0)
+    with pytest.raises(UnstableIndexError):
+        fredholm_index(bdt_u(S23, 1))
+    path = tmp_path / "u.json"
+    path.write_text(json.dumps(ser.encode_bdt(bdt_u(S23, 1))))
+    assert cli_dispatch(["index", str(path)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "UNSTABLE"
 
 
 def test_k0_demo(S23):
@@ -108,6 +169,8 @@ def test_k0_demo(S23):
     assert member["1/2"] and member["5/6"]
     assert not member["1/9"]
     assert all(row["trivial_in_quotient"] for row in rep["quotient_demo"])
+    v = bdt_u(S23, 1)
+    assert not bdt_equal(bdt_mul(v, bdt_adjoint(v)), bdt_one(S23))  # e_00 is needed
     S2 = Supernatural({2: INF})
     member2 = {row["q"]: row["member"] for row in k0_demo(S2)["gs_membership"]}
     assert member2["3/8"] and not member2["1/3"]
