@@ -17,6 +17,12 @@ from .errors import MembershipError
 
 INF = math.inf
 
+# Primes are checked, and plain integers factored, by trial division, so a
+# prime above this bound (and an integer above its square) is rejected rather
+# than left to run without bound.  Periods are capped far lower (1024 in
+# serialize), so no reachable level needs a larger prime.
+MAX_PRIME = 2 ** 20
+
 
 def is_prime(n: int) -> bool:
     if n < 2:
@@ -57,6 +63,8 @@ class Supernatural:
     def __init__(self, exponents: dict[int, int | float]):
         exp: dict[int, int | float] = {}
         for p, e in exponents.items():
+            if p > MAX_PRIME:
+                raise ValueError(f"prime {p} exceeds the cap {MAX_PRIME}")
             if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
             if e == 0:
@@ -70,6 +78,8 @@ class Supernatural:
 
     @staticmethod
     def from_int(n: int) -> "Supernatural":
+        if n > MAX_PRIME ** 2:
+            raise ValueError(f"{n} exceeds the cap {MAX_PRIME ** 2}")
         return Supernatural({p: e for p, e in factorize(n).items()}) if n > 1 else Supernatural({})
 
     @property

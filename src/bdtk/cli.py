@@ -8,6 +8,7 @@ failure (e.g. NOT_INVERTIBLE, failed verification), 2 malformed input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -65,7 +66,10 @@ def _parse_fraction(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args fills a
+    fresh namespace on every call, so one parser serves every request."""
     p = argparse.ArgumentParser(prog="bdtk", description=__doc__)
     p.add_argument("--out", help="write output to this file instead of stdout")
     sub = p.add_subparsers(dest="command", required=True)

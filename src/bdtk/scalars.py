@@ -8,12 +8,16 @@ Toeplitz corrections and roots-of-unity Fourier quadrature entrywise exact.
 Any operation touching a float-tagged operand produces a float-tagged result,
 and equality tests then switch from structural equality to tolerance 1e-12.
 
-Canonical form: the representation order n is 1, 4, an odd number >= 3 or a
-multiple of 4; the coefficient dict is the unique power-basis representative
-modulo the n-th cyclotomic polynomial, with the order reduced whenever the
-value lies in a smaller cyclotomic field reachable by exponent-gcd or by the
-zeta_{2m} -> -zeta_m^{(m+1)/2} rewrite.  Structural equality of canonical
-forms is therefore value equality.
+Canonical form: an exact value is sum_k num[k] zeta_n^k / d, with integer
+numerators num[k] (zeros omitted) over one denominator d > 0 and
+gcd(d, all num[k]) = 1.  The representation order n is 1, 4, an odd number
+>= 3 or a multiple of 4; the numerator polynomial is the unique power-basis
+representative modulo the n-th cyclotomic polynomial, with the order reduced
+whenever the value lies in a smaller cyclotomic field reachable by
+exponent-gcd or by the zeta_{2m} -> -zeta_m^{(m+1)/2} rewrite.  Structural
+equality of canonical forms is therefore value equality.  Gaussian rationals
+(n = 1 or 4) add, multiply, invert and conjugate on at most four integers and
+one gcd.
 """
 
 from __future__ import annotations
@@ -58,13 +62,16 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def _canonicalize(n: int, terms: dict[int, Fraction]) -> tuple[int, dict[int, Fraction]]:
+def _canonicalize(n: int, terms: dict[int, int]) -> tuple[int, dict[int, int]]:
+    # Every step is an integral linear map of the numerators (Phi_n is monic,
+    # so reduction modulo it stays in Z), so the caller's common denominator
+    # is untouched until the final gcd.
     while True:
-        merged: dict[int, Fraction] = {}
+        merged: dict[int, int] = {}
         for k, c in terms.items():
             if c:
                 k %= n
-                merged[k] = merged.get(k, _F0) + c
+                merged[k] = merged.get(k, 0) + c
         terms = {k: c for k, c in merged.items() if c}
         if not terms:
             return 1, {}
@@ -73,13 +80,13 @@ def _canonicalize(n: int, terms: dict[int, Fraction]) -> tuple[int, dict[int, Fr
         phi = cyclotomic_polynomial(n)
         deg = len(phi) - 1
         if max(terms) >= deg:
-            dense = [_F0] * n
+            dense = [0] * n
             for k, c in terms.items():
                 dense[k] = c
             for e in range(n - 1, deg - 1, -1):
                 c = dense[e]
                 if c:
-                    dense[e] = _F0
+                    dense[e] = 0
                     off = e - deg
                     for i in range(deg):
                         if phi[i]:
@@ -100,65 +107,92 @@ def _canonicalize(n: int, terms: dict[int, Fraction]) -> tuple[int, dict[int, Fr
         if n % 2 == 0 and (n // 2) % 2 == 1:
             # zeta_{2m}^k = zeta_m^{k/2} (k even), -zeta_m^{k(m+1)/2} (k odd)
             m = n // 2
-            new: dict[int, Fraction] = {}
+            new: dict[int, int] = {}
             for k, c in terms.items():
                 if k % 2 == 0:
                     kk, cc = (k // 2) % m, c
                 else:
                     kk, cc = (k * (m + 1) // 2) % m, -c
-                new[kk] = new.get(kk, _F0) + cc
+                new[kk] = new.get(kk, 0) + cc
             n, terms = m, new
             continue
         return n, terms
 
 
 class Scalar:
-    """Exact cyclotomic-rational or float-tagged complex scalar."""
+    """Exact cyclotomic-rational or float-tagged complex scalar.
 
-    __slots__ = ("n", "c", "f")
+    Exact: n > 0 and the value is sum_k num[k] zeta_n^k / d.  Float-tagged:
+    n == 0 and the value is the complex f.  The terms of num keep the order in
+    which canonicalization (or the Gaussian paths, which mirror it) inserts
+    them: to_complex sums in that order, so a different order could change
+    the last bits of every float derived from an exact value.
+    """
+
+    __slots__ = ("n", "num", "d", "f")
     __hash__ = None  # equality is semantic (and tolerance-based when inexact)
 
-    def __init__(self, *, _n: int, _c: dict[int, Fraction] | None, _f: complex | None):
-        self.n = _n
-        self.c = _c
-        self.f = _f
+    def __init__(self, n: int, num: dict[int, int] | None, d: int, f: complex | None):
+        self.n = n
+        self.num = num
+        self.d = d
+        self.f = f
 
     # ---------------------------------------------------------------- build
 
     @staticmethod
-    def _exact(n: int, terms: dict[int, Fraction]) -> "Scalar":
-        n, terms = _canonicalize(n, terms)
-        return Scalar(_n=n, _c=terms, _f=None)
+    def _make(n: int, num: dict[int, int], d: int) -> "Scalar":
+        """Canonical sum_k num[k] zeta_n^k / d from integer numerators."""
+        n, num = _canonicalize(n, num)
+        g = math.gcd(d, *num.values())
+        if g > 1:
+            d //= g
+            num = {k: c // g for k, c in num.items()}
+        return Scalar(n, num, d, None)
 
     @staticmethod
-    def _gauss(re: Fraction, im: Fraction) -> "Scalar":
+    def _exact(n: int, terms: dict[int, Fraction]) -> "Scalar":
+        """Canonical sum_k terms[k] zeta_n^k from int or Fraction terms."""
+        d = math.lcm(*(c.denominator for c in terms.values()))
+        return Scalar._make(n, {k: c.numerator * (d // c.denominator) for k, c in terms.items()}, d)
+
+    @staticmethod
+    def _gauss(re: int, im: int, d: int) -> "Scalar":
+        """Canonical (re + i im) / d for d > 0."""
+        g = math.gcd(re, im, d)
+        if g > 1:
+            re //= g
+            im //= g
+            d //= g
         if im:
-            t = {1: im}
-            if re:
-                t[0] = re
-            return Scalar(_n=4, _c=t, _f=None)
+            return Scalar(4, {1: im, 0: re} if re else {1: im}, d, None)
         if re:
-            return Scalar(_n=1, _c={0: re}, _f=None)
-        return Scalar(_n=1, _c={}, _f=None)
+            return Scalar(1, {0: re}, d, None)
+        return Scalar(1, {}, 1, None)
 
     @staticmethod
     def from_fraction(re, im=0) -> "Scalar":
-        return Scalar._gauss(Fraction(re), Fraction(im))
+        re, im = Fraction(re), Fraction(im)
+        d = math.lcm(re.denominator, im.denominator)
+        return Scalar._gauss(re.numerator * (d // re.denominator),
+                             im.numerator * (d // im.denominator), d)
 
     @staticmethod
     def from_int(k: int) -> "Scalar":
-        return Scalar._gauss(Fraction(k), _F0)
+        return Scalar._gauss(int(k), 0, 1)
 
     @staticmethod
     def from_complex(z) -> "Scalar":
-        return Scalar(_n=0, _c=None, _f=complex(z))
+        return Scalar(0, None, 1, complex(z))
 
     @staticmethod
     def from_number(x) -> "Scalar":
         if isinstance(x, Scalar):
             return x
-        if isinstance(x, (int, Fraction)):
-            return Scalar._gauss(Fraction(x), _F0)
+        if isinstance(x, int):
+            return Scalar.from_int(x)
+        if isinstance(x, Fraction):
+            return Scalar.from_fraction(x)
         if isinstance(x, (float, complex)):
             return Scalar.from_complex(x)
         raise TypeError(f"cannot interpret {type(x).__name__} as a scalar")
@@ -168,7 +202,7 @@ class Scalar:
         """Exact e^{2 pi i num/den}."""
         if den <= 0:
             raise ValueError("denominator must be positive")
-        return Scalar._exact(den, {num % den: _F1})
+        return Scalar._make(den, {num % den: 1}, 1)
 
     # ------------------------------------------------------------ predicates
 
@@ -178,52 +212,61 @@ class Scalar:
 
     def is_zero(self) -> bool:
         if self.n:
-            return not self.c
+            return not self.num
         return self.f == 0
 
     # ------------------------------------------------------------ conversion
 
+    @property
+    def c(self) -> dict[int, Fraction]:
+        """The exact terms as reduced Fractions, {k: num[k] / d}."""
+        return {k: Fraction(c, self.d) for k, c in self.num.items()}
+
     def to_complex(self) -> complex:
         if not self.n:
             return self.f
+        # int true division rounds correctly, so c / d is float(Fraction(c, d))
         z = 0j
-        for k, c in self.c.items():
-            z += float(c) * _root_complex(self.n, k)
+        d = self.d
+        for k, c in self.num.items():
+            z += (c / d) * _root_complex(self.n, k)
         return z
 
     def gauss_parts(self) -> tuple[Fraction, Fraction] | None:
         """(re, im) as Fractions when the value is a rational complex number."""
-        if self.n == 1:
-            return (self.c.get(0, _F0), _F0)
-        if self.n == 4:
-            return (self.c.get(0, _F0), self.c.get(1, _F0))
+        if self.n == 1 or self.n == 4:
+            return (Fraction(self.num.get(0, 0), self.d), Fraction(self.num.get(1, 0), self.d))
         return None
 
     # ------------------------------------------------------------ arithmetic
 
-    def _lift(self, L: int) -> dict[int, Fraction]:
+    def _lift(self, L: int, scale: int) -> dict[int, int]:
         step = L // self.n
-        return {k * step: c for k, c in self.c.items()}
+        return {k * step: c * scale for k, c in self.num.items()}
 
     def __add__(self, other) -> "Scalar":
         other = Scalar.from_number(other)
-        if self.n and other.n:
-            g = self.gauss_parts()
-            h = other.gauss_parts()
-            if g is not None and h is not None:
-                return Scalar._gauss(g[0] + h[0], g[1] + h[1])
-            L = self.n * other.n // math.gcd(self.n, other.n)
-            t = self._lift(L)
-            for k, c in other._lift(L).items():
-                t[k] = t.get(k, _F0) + c
-            return Scalar._exact(L, t)
+        n1, n2 = self.n, other.n
+        if n1 and n2:
+            a, b, d1, d2 = self.num, other.num, self.d, other.d
+            if (n1 == 1 or n1 == 4) and (n2 == 1 or n2 == 4):
+                if d1 == d2:
+                    return Scalar._gauss(a.get(0, 0) + b.get(0, 0), a.get(1, 0) + b.get(1, 0), d1)
+                return Scalar._gauss(a.get(0, 0) * d2 + b.get(0, 0) * d1,
+                                     a.get(1, 0) * d2 + b.get(1, 0) * d1, d1 * d2)
+            L = math.lcm(n1, n2)
+            d = math.lcm(d1, d2)
+            t = self._lift(L, d // d1)
+            for k, c in other._lift(L, d // d2).items():
+                t[k] = t.get(k, 0) + c
+            return Scalar._make(L, t, d)
         return Scalar.from_complex(self.to_complex() + other.to_complex())
 
     __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
         if self.n:
-            return Scalar(_n=self.n, _c={k: -c for k, c in self.c.items()}, _f=None)
+            return Scalar(self.n, {k: -c for k, c in self.num.items()}, self.d, None)
         return Scalar.from_complex(-self.f)
 
     def __sub__(self, other) -> "Scalar":
@@ -234,20 +277,20 @@ class Scalar:
 
     def __mul__(self, other) -> "Scalar":
         other = Scalar.from_number(other)
-        if self.n and other.n:
-            g = self.gauss_parts()
-            h = other.gauss_parts()
-            if g is not None and h is not None:
-                return Scalar._gauss(g[0] * h[0] - g[1] * h[1], g[0] * h[1] + g[1] * h[0])
-            L = self.n * other.n // math.gcd(self.n, other.n)
-            a = self._lift(L)
-            b = other._lift(L)
-            t: dict[int, Fraction] = {}
-            for k1, c1 in a.items():
+        n1, n2 = self.n, other.n
+        if n1 and n2:
+            if (n1 == 1 or n1 == 4) and (n2 == 1 or n2 == 4):
+                a, b = self.num, other.num
+                ar, ai, br, bi = a.get(0, 0), a.get(1, 0), b.get(0, 0), b.get(1, 0)
+                return Scalar._gauss(ar * br - ai * bi, ar * bi + ai * br, self.d * other.d)
+            L = math.lcm(n1, n2)
+            b = other._lift(L, 1)
+            t: dict[int, int] = {}
+            for k1, c1 in self._lift(L, 1).items():
                 for k2, c2 in b.items():
                     k = (k1 + k2) % L
-                    t[k] = t.get(k, _F0) + c1 * c2
-            return Scalar._exact(L, t)
+                    t[k] = t.get(k, 0) + c1 * c2
+            return Scalar._make(L, t, self.d * other.d)
         return Scalar.from_complex(self.to_complex() * other.to_complex())
 
     __rmul__ = __mul__
@@ -255,20 +298,19 @@ class Scalar:
     def inverse(self) -> "Scalar":
         if self.is_zero():
             raise ZeroDivisionError("scalar is zero")
-        if not self.n:
+        n = self.n
+        if not n:
             return Scalar.from_complex(1.0 / self.f)
-        g = self.gauss_parts()
-        if g is not None:
-            d = g[0] * g[0] + g[1] * g[1]
-            return Scalar._gauss(g[0] / d, -g[1] / d)
-        phi = [Fraction(a) for a in cyclotomic_polynomial(self.n)]
-        deg = len(phi) - 1
-        poly = [_F0] * deg
+        if n == 1 or n == 4:
+            # d / (re + i im) = d (re - i im) / (re^2 + im^2)
+            re, im = self.num.get(0, 0), self.num.get(1, 0)
+            return Scalar._gauss(self.d * re, -self.d * im, re * re + im * im)
+        phi = [Fraction(a) for a in cyclotomic_polynomial(n)]
+        poly = [_F0] * (len(phi) - 1)
         for k, c in self.c.items():
             poly[k] = c
         gcd_const, u = _poly_inverse_mod(poly, phi)
-        inv = {k: c / gcd_const for k, c in enumerate(u) if c}
-        return Scalar._exact(self.n, inv)
+        return Scalar._exact(n, {k: c / gcd_const for k, c in enumerate(u) if c})
 
     def __truediv__(self, other) -> "Scalar":
         return self * Scalar.from_number(other).inverse()
@@ -277,9 +319,15 @@ class Scalar:
         return Scalar.from_number(other) * self.inverse()
 
     def conj(self) -> "Scalar":
-        if not self.n:
+        n = self.n
+        if not n:
             return Scalar.from_complex(self.f.conjugate())
-        return Scalar._exact(self.n, {(self.n - k) % self.n: c for k, c in self.c.items()})
+        if n == 1:
+            return Scalar(1, self.num, self.d, None)
+        if n == 4:
+            re, im = self.num.get(0, 0), self.num[1]
+            return Scalar(4, {0: re, 1: -im} if re else {1: -im}, self.d, None)
+        return Scalar._make(n, {(n - k) % n: c for k, c in self.num.items()}, self.d)
 
     def abs2(self) -> "Scalar":
         return self * self.conj()
@@ -295,7 +343,7 @@ class Scalar:
         except TypeError:
             return NotImplemented
         if self.n and other.n:
-            return self.n == other.n and self.c == other.c
+            return self.n == other.n and self.d == other.d and self.num == other.num
         return abs(self.to_complex() - other.to_complex()) <= FLOAT_EQ_TOL
 
     def identical(self, other: "Scalar") -> bool:
@@ -303,7 +351,7 @@ class Scalar:
         if self.n != other.n:
             return False
         if self.n:
-            return self.c == other.c
+            return self.d == other.d and self.num == other.num
         return self.f == other.f
 
     def __repr__(self) -> str:

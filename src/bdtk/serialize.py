@@ -23,18 +23,29 @@ from .scalars import Scalar
 from .ulc import UlcFunction, ulc
 
 # Caps on decoded sizes, far above the JSON the tests and the benchmark decode
-# (orders, periods and band indices up to 12, 12 and 4): the cost of exact
-# arithmetic grows faster than linearly in the cyclotomic order, and a band
-# index sets the degree of every symbol polynomial, so an uncapped value can
-# keep a command running without bound.
+# (orders, periods, band indices and compact entry indices up to 12, 12, 4
+# and 7): the cost of exact arithmetic grows faster than linearly in the
+# cyclotomic order, a band index sets the degree of every symbol polynomial,
+# and a compact entry index sets the truncation padding of fredholm_index, so
+# an uncapped value can keep a command running without bound.
 MAX_ORDER = 1024
 MAX_PERIOD = 1024
 MAX_BAND = 1024
+MAX_INDEX = 1024
+
+
+def _int(value) -> int:
+    """int(value); a JSON infinity is malformed input, where int() raises
+    OverflowError."""
+    try:
+        return int(value)
+    except OverflowError:
+        raise ValueError(f"{value!r} is not a finite integer") from None
 
 
 def _capped(name: str, value, cap: int) -> int:
     """int(value), or ValueError when its magnitude exceeds cap."""
-    n = int(value)
+    n = _int(value)
     if abs(n) > cap:
         raise ValueError(f"{name} {n} exceeds the cap {cap}")
     return n
@@ -54,9 +65,9 @@ def encode_scalar(z: Scalar):
 
 
 def _decode_fraction(num, den) -> Fraction:
-    if int(den) == 0:
+    if _int(den) == 0:
         raise ValueError("zero denominator in a scalar encoding")
-    return Fraction(int(num), int(den))
+    return Fraction(_int(num), _int(den))
 
 
 def _finite(re, im) -> complex:
@@ -76,7 +87,7 @@ def decode_scalar(obj) -> Scalar:
         n = _capped("scalar order", obj["order"], MAX_ORDER)
         if n < 1:
             raise ValueError(f"scalar order must be positive, got {n}")
-        terms = {int(k): _decode_fraction(p, q) for k, p, q in obj["terms"]}
+        terms = {_int(k): _decode_fraction(p, q) for k, p, q in obj["terms"]}
         return Scalar._exact(n, terms)
     if isinstance(obj, int):
         return Scalar.from_number(obj)
@@ -110,7 +121,7 @@ def encode_supernatural(S: Supernatural) -> list:
 
 
 def decode_supernatural(obj) -> Supernatural:
-    return Supernatural({int(p): (INF if e == "inf" else int(e)) for p, e in obj})
+    return Supernatural({_int(p): (INF if e == "inf" else _int(e)) for p, e in obj})
 
 
 def encode_residue(x: Residue) -> list:
@@ -118,7 +129,7 @@ def encode_residue(x: Residue) -> list:
 
 
 def decode_residue(obj) -> Residue:
-    return Residue(int(obj[0]), int(obj[1]))
+    return Residue(_int(obj[0]), _int(obj[1]))
 
 
 def encode_gs_rational(q: GsRational) -> list:
@@ -126,7 +137,7 @@ def encode_gs_rational(q: GsRational) -> list:
 
 
 def decode_gs_rational(obj) -> GsRational:
-    return GsRational(int(obj[0]), int(obj[1]))
+    return GsRational(_int(obj[0]), _int(obj[1]))
 
 
 def encode_bd(b: BdElement) -> dict:
@@ -149,7 +160,11 @@ def encode_compact(c: CompactMatrix) -> dict:
 
 
 def decode_compact(obj) -> CompactMatrix:
-    return CompactMatrix({(int(k), int(s)): decode_scalar(v) for k, s, v in obj["entries"]})
+    entries = {}
+    for k, s, v in obj["entries"]:
+        cell = (_capped("entry index", k, MAX_INDEX), _capped("entry index", s, MAX_INDEX))
+        entries[cell] = decode_scalar(v)
+    return CompactMatrix(entries)
 
 
 def encode_bdt(a: BdtElement) -> dict:

@@ -6,6 +6,7 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import bdtk
 from bdtk import bloch
@@ -42,6 +43,16 @@ def test_gs_add(capsys):
     assert cli_dispatch(["gs", "--S", "2:inf", "--add", "1/4", "1/4"]) == 0
     assert json.loads(capsys.readouterr().out) == {"sum": [1, 2]}
     assert cli_dispatch(["gs", "--S", "2:inf", "--add", "1/3", "1/2"]) == 1
+
+
+def test_consecutive_requests_share_no_parse_state(tmp_path, capsys):
+    out = tmp_path / "sum.json"
+    assert cli_dispatch(["--out", str(out), "gs", "--S", "2:inf", "--add", "1/4", "1/4"]) == 0
+    assert json.loads(out.read_text()) == {"sum": [1, 2]}
+    assert capsys.readouterr().out == ""
+    assert cli_dispatch(["gs", "--S", "2:inf", "--add", "1/8", "1/8"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"sum": [1, 4]}
+    assert json.loads(out.read_text()) == {"sum": [1, 2]}
 
 
 def test_norm_p1_of_shift(tmp_path, capsys, S23):
@@ -134,8 +145,11 @@ _S23_JSON = [[2, "inf"], [3, 1]]
     (["adjoint"], [10 ** 400, 0]),
     (["gs", "--S", "2:inf", "--q", "1/0"], None),
     (["gs", "--S", "2:inf", "--add", "1/0", "1/2"], None),
+    (["gs", "--S", f"{2 ** 61 - 1}:1", "--q", "1/2"], None),
+    (["gs", "--S", str(2 ** 61 - 1), "--q", "1/2"], None),
 ], ids=["re-den-0", "im-den-0", "term-den-0", "order-0", "norm-overflow", "nan-pair",
-        "nan-number", "inf-pair", "huge-int-pair", "gs-q-den-0", "gs-add-den-0"])
+        "nan-number", "inf-pair", "huge-int-pair", "gs-q-den-0", "gs-add-den-0",
+        "gs-huge-prime", "gs-huge-int"])
 def test_malformed_value_exit_code(tmp_path, capsys, argv, value):
     if value is not None:
         argv = argv + [_write(tmp_path, "bad.json",
@@ -151,14 +165,28 @@ def test_nonfinite_tol_exit_code(capsys, vpv_file, cmd, tol):
     assert json.loads(capsys.readouterr().err)["error"] == "BAD_INPUT"
 
 
-@pytest.mark.parametrize("bands", [
-    [[1, {"period": 1, "values": [{"order": ser.MAX_ORDER + 1, "terms": [[1, 1, 1]]}]}]],
-    [[1, {"period": 2 * ser.MAX_PERIOD, "values": [[1, 1, 0, 1]] * (2 * ser.MAX_PERIOD)}]],
-    [[ser.MAX_BAND + 1, {"period": 1, "values": [[1, 1, 0, 1]]}]],
-    [[-ser.MAX_BAND - 1, {"period": 1, "values": [[1, 1, 0, 1]]}]],
-], ids=["order", "period", "band", "negative-band"])
-def test_decode_cap_exit_code(tmp_path, capsys, bands):
-    path = _write(tmp_path, "big.json", {"S": _S23_JSON, "bands": bands})
+def _bd_json(bands):
+    return {"S": _S23_JSON, "bands": bands}
+
+
+def _bdt_json(entries):
+    return {"symbol": _bd_json([[0, {"period": 1, "values": [[1, 1, 0, 1]]}]]),
+            "compact": {"entries": entries}}
+
+
+@pytest.mark.parametrize("payload", [
+    _bd_json([[1, {"period": 1, "values": [{"order": ser.MAX_ORDER + 1, "terms": [[1, 1, 1]]}]}]]),
+    _bd_json([[1, {"period": 2 * ser.MAX_PERIOD, "values": [[1, 1, 0, 1]] * (2 * ser.MAX_PERIOD)}]]),
+    _bd_json([[ser.MAX_BAND + 1, {"period": 1, "values": [[1, 1, 0, 1]]}]]),
+    _bd_json([[-ser.MAX_BAND - 1, {"period": 1, "values": [[1, 1, 0, 1]]}]]),
+    _bdt_json([[10 ** 6, 0, [1, 64, 0, 1]]]),
+    _bdt_json([[0, ser.MAX_INDEX + 1, [1, 64, 0, 1]]]),
+    {"S": [[2 ** 61 - 1, 1]], "bands": []},
+    _bd_json([[float("inf"), {"period": 1, "values": [[1, 1, 0, 1]]}]]),
+], ids=["order", "period", "band", "negative-band", "entry-row", "entry-column", "prime",
+        "infinite-band"])
+def test_decode_cap_exit_code(tmp_path, capsys, payload):
+    path = _write(tmp_path, "big.json", payload)
     assert cli_dispatch(["adjoint", path]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "BAD_INPUT"
 
@@ -211,3 +239,67 @@ def test_module_entry_point():
                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert run.returncode == 0, run.stderr
     assert json.loads(run.stdout) == {"member": True}
+
+
+_JSON_KEYS = ("S", "bands", "period", "values", "float", "order", "terms", "symbol", "compact",
+              "entries", "gamma", "b", "c")
+_EDGE_VALUES = (float("inf"), float("-inf"), float("nan"), 1e300, 0.5, 0, -1, 2, 10 ** 30,
+                2 ** 61 - 1, "inf", "", True, None, [], {})
+_json_leaves = st.sampled_from(_EDGE_VALUES) | st.integers() | st.floats() | st.text(max_size=4)
+_json_values = st.recursive(
+    _json_leaves,
+    lambda kids: (st.lists(kids, max_size=4)
+                  | st.dictionaries(st.sampled_from(_JSON_KEYS) | st.text(max_size=3), kids,
+                                    max_size=4)),
+    max_leaves=12,
+)
+_SEED_PAYLOADS = (
+    _bdt_json([[0, 1, [1, 2, -3, 4]], [2, 0, {"order": 9, "terms": [[1, 1, 2], [4, -2, 3]]}]]),
+    {"gamma": [0, 1, 1, 1], "b": _bd_json([[1, {"period": 2, "values": [[0.5, 0], [1, 3, 0, 1]]}]]),
+     "c": {"entries": [[1, 1, [2, 1, 0, 1]]]}},
+    _bd_json([[-1, {"period": 3, "values": [[1, 1, 0, 1], {"order": 3, "terms": [[1, 1, 1]]},
+                                            [0.25, -1.5]]}]]),
+)
+
+
+def _paths(node, path=()):
+    yield path
+    if isinstance(node, (dict, list)):
+        for k, v in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _paths(v, path + (k,))
+
+
+def _replaced(node, path, value):
+    if not path:
+        return value
+    out = dict(node) if isinstance(node, dict) else list(node)
+    out[path[0]] = _replaced(node[path[0]], path[1:], value)
+    return out
+
+
+@st.composite
+def _malformed(draw):
+    """Arbitrary JSON, or a valid payload with one to three nodes replaced by
+    arbitrary JSON."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(_json_values)
+    payload = draw(st.sampled_from(_SEED_PAYLOADS))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(payload))))
+        payload = _replaced(payload, path, draw(_json_leaves | _json_values))
+    return payload
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_malformed(), st.sampled_from([
+    ["adjoint", "{p}"], ["mul", "{p}", "{p}"], ["tau", "{p}"], ["toeplitz", "{p}"],
+    ["fourier", "{p}", "-n", "1"], ["derivation", "component", "{p}", "-n", "1"],
+]))
+def test_malformed_json_fuzz(tmp_path_factory, payload, argv):
+    try:
+        ser.decode_element(payload)
+    except (ValueError, KeyError, TypeError):
+        pass
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(payload))
+    assert cli_dispatch([a.format(p=path) for a in argv]) in (0, 1, 2)

@@ -25,8 +25,7 @@ from bdtk.errors import NotFredholmError, NotInvertibleError, UnstableIndexError
 from bdtk.index import fredholm_index, k0_demo, winding
 from bdtk.scalars import Scalar
 from bdtk.ulc import ulc
-
-from .oracles import det_winding_by_phase
+from bdtk.verify import det_winding_by_phase
 
 
 def _invertible_ulc(rng, period):

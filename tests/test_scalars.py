@@ -1,8 +1,20 @@
+import math
 from fractions import Fraction
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bdtk.scalars import Scalar, cyclotomic_polynomial, phase_scalar
+from bdtk.serialize import encode_scalar
+
+from .oracles import (
+    ref_add,
+    ref_canonicalize,
+    ref_conj,
+    ref_encode,
+    ref_inverse,
+    ref_mul,
+    ref_to_complex,
+)
 
 fracs = st.fractions(min_value=-8, max_value=8, max_denominator=8)
 
@@ -96,3 +108,37 @@ def test_phase_scalar_rational_vs_float():
     assert phase_scalar(1, 0.5).is_exact  # exact binary rational
     assert not phase_scalar(1, 1 / 3).is_exact
     assert not phase_scalar(1, Fraction(1, 97)).is_exact  # denominator above the bound
+
+
+ORDERS = (1, 3, 4, 9, 12, 28, 36)
+
+
+@st.composite
+def exact_terms(draw):
+    """(order, terms) with terms keyed past the order, so canonicalization
+    reduces modulo Phi_n and may lower the order."""
+    n = draw(st.sampled_from(ORDERS))
+    terms = draw(st.dictionaries(st.integers(0, 2 * n), fracs, max_size=6))
+    return n, terms
+
+
+def _same(got: Scalar, want) -> None:
+    assert (got.n, list(got.c.items())) == (want[0], list(want[1].items()))
+    z, w = got.to_complex(), ref_to_complex(want)
+    assert (z.real.hex(), z.imag.hex()) == (w.real.hex(), w.imag.hex())
+    assert encode_scalar(got) == ref_encode(want)
+
+
+@settings(deadline=None)
+@given(exact_terms(), exact_terms())
+def test_integer_form_matches_fraction_reference(xt, yt):
+    x, y = Scalar._exact(*xt), Scalar._exact(*yt)
+    xr, yr = ref_canonicalize(*xt), ref_canonicalize(*yt)
+    _same(x, xr)
+    _same(y, yr)
+    _same(x + y, ref_add(xr, yr))
+    _same(x * y, ref_mul(xr, yr))
+    _same(x.conj(), ref_conj(xr))
+    if not x.is_zero():
+        _same(x.inverse(), ref_inverse(xr))
+    assert math.gcd(x.d, *x.num.values()) == 1 and x.d > 0
