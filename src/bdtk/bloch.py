@@ -15,14 +15,14 @@ evaluated at those crossings and at the midpoints of the arcs between them.
 The level is certified from above when no root lies on the circle, or when
 no midpoint exceeds it (sigma_max - lambda keeps one sign on each arc);
 otherwise m rises to the largest evaluated value and the next level is
-tried.  Root location uses a companion matrix for moderate degrees and zero
-counting on a thin annulus (argument principle) for large ones; the annulus
-count only proves the absence of crossings, so when it finds some (or cannot
-decide) no certificate is given unless a higher level is proved clear.
-
-The roots of z^(lD) det B(z) also certify that B is invertible on the circle
-(symbol_invertibility), and counting those inside it gives the winding number
-of det B (det_winding), hence the Fredholm index of T(b).
+tried.  One root census (_circle_roots) serves both polynomials here: a
+companion matrix up to degree 512 and, above it, zero counts on the two edges
+of a thin annulus (argument principle), which only prove that no root lies
+near the circle; when roots are near (or the count does not resolve) no level
+certificate is given unless a higher level is proved clear.  For
+z^(lD) det B(z) the census certifies that B is invertible on the circle and
+counts the roots inside it, hence the winding number of det B and the
+Fredholm index of T(b) (det_winding).
 """
 
 from __future__ import annotations
@@ -37,6 +37,8 @@ from .errors import NotInvertibleError, ToleranceUnreachableError
 _TWO_PI = 2.0 * np.pi
 # a root of det B(z) this close to the unit circle makes the symbol singular
 INVERTIBILITY_DELTA = 1e-8
+# a root of a level polynomial this close to the unit circle is a level crossing
+CROSSING_DELTA = 1e-7
 
 
 @dataclass
@@ -186,37 +188,49 @@ def _strip_noise(poly_lo2hi: np.ndarray, noise: float) -> tuple[np.ndarray, int]
     return p[first:len(p) - int(np.argmax(keep[::-1]))], first
 
 
-def circle_root_angles(poly_lo2hi: np.ndarray, delta: float = 1e-7,
-                       noise: float = 0.0) -> tuple[list[float], bool]:
-    """Angles (in turns) of polynomial roots within delta of the unit circle.
+def _circle_roots(p: np.ndarray, delta: float) -> tuple[list[float] | None, int | None]:
+    """Census of the roots of p (coefficients low to high, ends stripped of
+    round-off): the angles (in turns) of the roots within delta of the unit
+    circle, and the number of roots inside |z| < 1 - delta.
+
+    Up to degree 512 the companion-matrix roots are located.  Above, zeros are
+    counted inside the circles of radius 1 -+ delta by the argument principle;
+    equal counts prove that no root lies between them (angles []), otherwise
+    the roots there cannot be placed (angles None).  The count is None when
+    the inner circle does not resolve."""
+    if len(p) - 1 <= 512:
+        roots = np.roots(p[::-1])
+        radii = np.abs(roots)
+        near = roots[np.abs(radii - 1.0) < delta]
+        angles = sorted(set((float(a) / _TWO_PI) % 1.0 for a in np.angle(near)))
+        return angles, int(np.count_nonzero(radii < 1.0 - delta))
+    inside = _winding_on_circle(p, 1.0 - delta)
+    if inside is not None and inside == _winding_on_circle(p, 1.0 + delta):
+        return [], inside
+    return None, inside
+
+
+def circle_root_angles(poly_lo2hi: np.ndarray, noise: float = 0.0) -> tuple[list[float], bool]:
+    """Angles (in turns) of polynomial roots within CROSSING_DELTA of the unit
+    circle.
 
     noise is the absolute round-off level of the coefficients (0 for exact
     ones); coefficients at or below it are stripped from both ends
     (_strip_noise).
 
     Returns (angles, certified).  certified=True means the list holds every
-    root within delta of the circle (an empty list: there is none);
+    root within CROSSING_DELTA of the circle (an empty list: there is none);
     certified=False means the test was inconclusive and the angles are only
     candidate locations.
     """
     stripped = _strip_noise(poly_lo2hi, noise)
     if stripped is None:
         return [0.0], False  # determinant vanishes to round-off: degenerate
-    p = stripped[0]
-    deg = len(p) - 1
-    if deg <= 0:
-        return [], True
-    if deg <= 512:
-        roots = np.roots(p[::-1])
-        near = roots[np.abs(np.abs(roots) - 1.0) < delta]
-        angles = sorted(set((float(a) / _TWO_PI) % 1.0 for a in np.angle(near)))
-        return angles, True
-    w_out = _winding_on_circle(p, 1.0 + delta)
-    w_in = _winding_on_circle(p, 1.0 - delta)
-    if w_out is not None and w_out == w_in:
-        return [], True
-    # roots near the circle, or an unresolved count: only grid minima of |p|
-    return _unit_circle_min_angles(p), False
+    angles, _ = _circle_roots(stripped[0], CROSSING_DELTA)
+    if angles is None:
+        # roots near the circle, or an unresolved count: only grid minima of |p|
+        return _unit_circle_min_angles(stripped[0]), False
+    return angles, True
 
 
 def _unit_circle_min_angles(poly_lo2hi: np.ndarray, count: int = 6) -> list[float]:
@@ -304,47 +318,24 @@ def certified_sup_smax(sym: SymbolMatrix, tol: float) -> float:
     raise ToleranceUnreachableError("operator-norm certification did not converge")
 
 
-def symbol_invertibility(sym: SymbolMatrix) -> tuple[bool, float]:
-    """Certify pointwise invertibility of B on the circle.
-
-    Returns (invertible, grid_smin).  Invertibility holds iff det B(z) has no
-    root within INVERTIBILITY_DELTA of the unit circle; grid_smin reports the
-    observed sigma_min margin."""
+def det_winding(sym: SymbolMatrix) -> int:
+    """Winding number of theta -> det B(e^{2 pi i theta}) around 0, from one
+    census (_circle_roots) of p(z) = z^(lD) det B(z) with its round-off ends
+    stripped (low-end coefficients are roots at z = 0, high-end ones at
+    infinity).  B is certified invertible when no root of p lies within
+    INVERTIBILITY_DELTA of the circle and the grid sigma_min exceeds 1e-12;
+    the winding number is then #{roots of p in |z| < 1} - lD.
+    NotInvertibleError when that certificate fails, det B vanishes to
+    round-off or the count does not resolve."""
     l = sym.period
     G = grid_size(256, 8 * (2 * sym.wrap_degree() + 1))
-    mats = sym.at_many(np.arange(G) / G)
-    smin = float(np.linalg.svd(mats, compute_uv=False)[:, -1].min())
-    poly, noise = _laurent_det_poly(sym.coeffs, l)
-    angles, certified = circle_root_angles(poly, INVERTIBILITY_DELTA, noise)
-    if not certified or angles or smin <= 1e-12:
-        return False, smin
-    return True, smin
-
-
-def det_winding(sym: SymbolMatrix) -> int:
-    """Winding number of theta -> det B(e^{2 pi i theta}) around 0.
-
-    By the argument principle it is #{roots of p in |z| < 1} - lD for
-    p(z) = z^(lD) det B(z), the polynomial symbol_invertibility certifies,
-    with its round-off ends stripped the same way: the low-end coefficients
-    are roots at z = 0 (inside), the high-end ones roots at infinity.  Up to
-    degree 512 the companion-matrix roots are counted; above, the zeros inside
-    |z| < 1 - INVERTIBILITY_DELTA by the argument principle.  The caller
-    certifies invertibility first (symbol_invertibility), so no root lies
-    within INVERTIBILITY_DELTA of the circle and both counts are exact;
-    NotInvertibleError if the determinant vanishes to round-off or the
-    annulus count does not resolve."""
-    l = sym.period
+    smin = float(np.linalg.svd(sym.at_many(np.arange(G) / G), compute_uv=False)[:, -1].min())
     poly, noise = _laurent_det_poly(sym.coeffs, l)
     stripped = _strip_noise(poly, noise)
     if stripped is None:
-        raise NotInvertibleError("det B vanishes to round-off")
+        raise NotInvertibleError(f"det B vanishes to round-off (grid sigma_min {smin:.3e})")
     p, at_zero = stripped
-    deg = len(p) - 1
-    if deg <= 512:
-        inside = int(np.count_nonzero(np.abs(np.roots(p[::-1])) < 1.0))
-    else:
-        inside = _winding_on_circle(p, 1.0 - INVERTIBILITY_DELTA)
-        if inside is None:
-            raise NotInvertibleError("zero count of det B near the circle did not resolve")
+    angles, inside = _circle_roots(p, INVERTIBILITY_DELTA)
+    if angles != [] or inside is None or smin <= 1e-12:
+        raise NotInvertibleError(f"symbol singular on the circle (grid sigma_min {smin:.3e})")
     return at_zero + inside - l * sym.wrap_degree()

@@ -4,9 +4,11 @@ and small K-theoretic demonstrations.
 With period l the half line starts on a block boundary, so T(b) is the block
 Toeplitz operator with the l x l symbol B(z), and a compact c does not change
 the index: ind(T(b) + c) = -wind det B (Gohberg-Krein; Boettcher &
-Silbermann, Analysis of Toeplitz Operators, 2nd ed. 2006, ch. 6).  The
-winding number is the root count bloch.det_winding reads off the polynomial
-whose roots certify that B is invertible on the circle.
+Silbermann, Analysis of Toeplitz Operators, 2nd ed. 2006, ch. 6).  One call
+of bloch.det_winding answers both questions from one root census of
+z^(lD) det B(z): no root near the circle certifies that B is invertible there
+(otherwise a is not Fredholm), and the roots inside it give the winding
+number.
 
 Kernel and cokernel dimensions counted from singular values of rectangular
 corners cross-check that count: for a band-plus-finite operator, the
@@ -70,22 +72,22 @@ def fredholm_index(a: BdtElement, schedule=(64, 128, 256, 512),
     """ind a = -wind det B, certified from the symbol and cross-checked on
     the truncation schedule.
 
-    Requires the symbol to be invertible (certified on the circle).  The
-    sizes are tried in ascending order; the result is returned once three
-    consecutive sizes give dim ker - dim coker equal to the certified index,
-    each with a singular-value gap ratio of at least 1e3.  kernel_dims lists
-    the sizes tried.  UnstableIndexError when the schedule runs out first."""
+    NotFredholmError when the symbol is not certified invertible on the
+    circle.  The sizes are tried in ascending order; the result is returned
+    once three consecutive sizes give dim ker - dim coker equal to the
+    certified index, each with a singular-value gap ratio of at least 1e3.
+    kernel_dims lists the sizes tried.  UnstableIndexError when the schedule
+    runs out first."""
     schedule = sorted(set(int(n) for n in schedule))
     if len(schedule) < 3:
         raise ValueError("schedule needs at least three sizes")
     b = tau(a)
     if b.is_zero():
         raise NotFredholmError("symbol is zero")
-    sym = bd_symbol(b)
-    ok, smin = bloch.symbol_invertibility(sym)
-    if not ok:
-        raise NotFredholmError(f"symbol not invertible (grid sigma_min {smin:.3e})")
-    index = -bloch.det_winding(sym)
+    try:
+        index = -bloch.det_winding(bd_symbol(b))
+    except NotInvertibleError as exc:
+        raise NotFredholmError(str(exc)) from exc
     pad = max(b.bandwidth, 1) + a.compact.support_bound()
     astar = bdt_adjoint(a)
     dims = []
@@ -101,12 +103,9 @@ def fredholm_index(a: BdtElement, schedule=(64, 128, 256, 512),
 
 
 def winding(b: BdElement) -> int:
-    """Winding number of theta -> det B(e^{2 pi i theta}) around 0."""
-    sym = bd_symbol(b)
-    ok, smin = bloch.symbol_invertibility(sym)
-    if not ok:
-        raise NotInvertibleError(f"symbol not invertible (grid sigma_min {smin:.3e})")
-    return bloch.det_winding(sym)
+    """Winding number of theta -> det B(e^{2 pi i theta}) around 0;
+    NotInvertibleError when B is not certified invertible on the circle."""
+    return bloch.det_winding(bd_symbol(b))
 
 
 def k0_demo(S: Supernatural) -> dict:

@@ -35,16 +35,15 @@ MAX_INDEX = 1024
 
 
 def _int(value) -> int:
-    """int(value); a JSON infinity is malformed input, where int() raises
-    OverflowError."""
-    try:
-        return int(value)
-    except OverflowError:
-        raise ValueError(f"{value!r} is not a finite integer") from None
+    """value when it is a JSON integer; anything else (a float, even 1.0 or
+    an infinity, or a boolean) is malformed input."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{value!r} is not an integer")
+    return value
 
 
 def _capped(name: str, value, cap: int) -> int:
-    """int(value), or ValueError when its magnitude exceeds cap."""
+    """_int(value), or ValueError when its magnitude exceeds cap."""
     n = _int(value)
     if abs(n) > cap:
         raise ValueError(f"{name} {n} exceeds the cap {cap}")
@@ -71,8 +70,10 @@ def _decode_fraction(num, den) -> Fraction:
 
 
 def _finite(re, im) -> complex:
-    """complex(re, im) from JSON numbers; NaN, infinities and integers beyond
-    double range are malformed input."""
+    """complex(re, im) from JSON numbers; booleans, NaN, infinities and
+    integers beyond double range are malformed input."""
+    if isinstance(re, bool) or isinstance(im, bool):
+        raise ValueError("boolean in a scalar encoding")
     try:
         z = complex(re, im)
     except OverflowError:
@@ -89,6 +90,8 @@ def decode_scalar(obj) -> Scalar:
             raise ValueError(f"scalar order must be positive, got {n}")
         terms = {_int(k): _decode_fraction(p, q) for k, p, q in obj["terms"]}
         return Scalar._exact(n, terms)
+    if isinstance(obj, bool):
+        raise ValueError("boolean scalar encoding")
     if isinstance(obj, int):
         return Scalar.from_number(obj)
     if isinstance(obj, float):

@@ -9,19 +9,13 @@ import cmath
 import math
 from fractions import Fraction
 
-from bdtk.bd import (
-    BdElement,
-    bd_add,
-    bd_element,
-    bd_mul,
-    bd_one,
-    bd_scale,
-    bd_sup_coefficient_norm,
-)
+import numpy as np
+
+from bdtk.bd import BdElement, bd_element, bd_sup_coefficient_norm
 from bdtk.bdt import BdtElement, bdt_add, bdt_rho, bdt_scale, bdt_truncate, toeplitz
 from bdtk.scalars import Scalar, cyclotomic_polynomial
 from bdtk.sparse import ScalarMatrix
-from bdtk.ulc import ulc_eval
+from bdtk.ulc import ulc, ulc_eval
 
 
 def window_matrix(b: BdElement, lo: int, hi: int) -> ScalarMatrix:
@@ -63,19 +57,30 @@ def der_component_quadrature(d_callable, n: int, band_limit: int, a: BdtElement)
 def exp_power_series(b: BdElement, terms: int | None = None) -> tuple[BdElement, float]:
     """e^{ib} summed as a power series, with the rigorous tail bound
     ||b||^{K+1}/(K+1)! * e^{||b||} (using the coefficient-mass upper bound for
-    ||b||)."""
-    S = b.S
+    ||b||).
+
+    The series is summed on complex band arrays at the common period l, with
+    the shift rule (V^n m_f)(V^m m_g) = V^{n+m} m_{(f o phi^m) g}, where
+    (f o phi^m)(s) = f(s + m); the sum becomes an element once, at the end."""
     nrm = bd_sup_coefficient_norm(b) * (2 * b.bandwidth + 1)
     if terms is None:
         terms = max(24, int(3 * nrm) + 20)
-    ib = bd_scale(Scalar.from_complex(1j), b)
-    acc = bd_one(S)
-    term = bd_one(S)
+    l = b.period
+    ib = {n: 1j * np.array([ulc_eval(f, s).to_complex() for s in range(l)])
+          for n, f in b.bands.items()}
+    acc = {0: np.ones(l, dtype=complex)}
+    term = dict(acc)
     for k in range(1, terms + 1):
-        term = bd_scale(1.0 / k, bd_mul(term, ib))
-        acc = bd_add(acc, term)
+        nxt: dict[int, np.ndarray] = {}
+        for n, f in term.items():
+            for m, g in ib.items():
+                nxt[n + m] = nxt.get(n + m, 0) + np.roll(f, -m) * g / k
+        term = nxt
+        for n, f in term.items():
+            acc[n] = acc.get(n, 0) + f
     tail = nrm ** (terms + 1) / math.factorial(terms + 1) * math.exp(nrm)
-    return acc, tail
+    return bd_element(b.S, {n: ulc([Scalar.from_complex(complex(z)) for z in f])
+                            for n, f in acc.items()}), tail
 
 
 # --------------------------------------------------------------------------

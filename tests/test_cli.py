@@ -12,10 +12,11 @@ import bdtk
 from bdtk import bloch
 from bdtk import serialize as ser
 from bdtk.arith import Supernatural, INF
-from bdtk.bd import bd_add, bd_v
-from bdtk.bdt import bdt_u
+from bdtk.bd import bd_add, bd_equal, bd_one, bd_scalar, bd_sub, bd_v
+from bdtk.bdt import BdtElement, bdt_equal, bdt_u, toeplitz
+from bdtk.calculus import bd_exp, bd_invert, bdt_invert, k_exp, smooth_calc
 from bdtk.cli import cli_dispatch
-from bdtk.compact import k_units
+from bdtk.compact import k_add, k_units
 from bdtk.derivations import derivation
 from bdtk.verify import run_suite, report_to_json
 
@@ -88,6 +89,52 @@ def test_invert_not_invertible_is_math_failure(tmp_path, capsys, S23):
     assert cli_dispatch(["invert", path, "--tol", "1e-6"]) == 1
 
 
+_S23 = Supernatural({2: INF, 3: 1})
+_H = bd_add(bd_v(_S23, 1), bd_v(_S23, -1))          # self-adjoint
+_B = bd_add(bd_scalar(_S23, 2), bd_v(_S23, 1))      # invertible, index 0
+_CERTIFIED = {
+    "invert-bd": (["invert", "{a}", "--tol", "1e-8"], ser.encode_bd(_B),
+                  lambda: bd_invert(_B, 1e-8, 48)),
+    "invert-bdt": (["invert", "{a}", "--tol", "1e-8"], ser.encode_bdt(toeplitz(_B)),
+                   lambda: bdt_invert(toeplitz(_B), 1e-8, [64, 128, 256])),
+    "exp-bd": (["exp", "{a}", "--tol", "1e-9"], ser.encode_bd(_H),
+               lambda: bd_exp(_H, 1e-9, 48)),
+    "calc": (["calc", "{a}", "--coeffs", "{coeffs}", "--L", "8", "--tol", "1e-6"],
+             ser.encode_bdt(toeplitz(_H)),
+             lambda: smooth_calc(toeplitz(_H), {1: 0.5, -1: 0.5}, 8.0, 1e-6)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CERTIFIED))
+def test_certified_commands_match_library(tmp_path, capsys, case):
+    argv, payload, library = _CERTIFIED[case]
+    files = {"a": _write(tmp_path, "a.json", payload),
+             "coeffs": _write(tmp_path, "coeffs.json", {"1": [0.5, 0.0], "-1": [0.5, 0.0]})}
+    assert cli_dispatch([arg.format(**files) for arg in argv]) == 0
+    out = json.loads(capsys.readouterr().out)
+    ce = library()
+    tol = float(argv[argv.index("--tol") + 1])
+    assert out["method"] == ce.method
+    assert out["residual_bound"] <= tol
+    value = ser.decode_element(out["value"])
+    same = bdt_equal if isinstance(ce.value, BdtElement) else bd_equal
+    assert same(value, ce.value, tol=0.0)
+
+
+def test_exp_of_compact_matches_library(tmp_path, capsys):
+    c = k_add(k_add(k_units(0, 1), k_units(1, 0)), k_units(2, 2))
+    path = _write(tmp_path, "c.json", ser.encode_compact(c))
+    assert cli_dispatch(["exp", path, "--S", "2:inf,3:1"]) == 0
+    out = ser.decode_element(json.loads(capsys.readouterr().out))
+    assert bdt_equal(out, k_exp(c, _S23), tol=0.0)
+
+
+def test_index_of_singular_symbol_is_not_fredholm(tmp_path, capsys):
+    path = _write(tmp_path, "t.json", ser.encode_bdt(toeplitz(bd_sub(bd_v(_S23, 1), bd_one(_S23)))))
+    assert cli_dispatch(["index", path]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "NOT_FREDHOLM"
+
+
 def test_malformed_input_exit_code(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{not json")
@@ -147,9 +194,12 @@ _S23_JSON = [[2, "inf"], [3, 1]]
     (["gs", "--S", "2:inf", "--add", "1/0", "1/2"], None),
     (["gs", "--S", f"{2 ** 61 - 1}:1", "--q", "1/2"], None),
     (["gs", "--S", str(2 ** 61 - 1), "--q", "1/2"], None),
+    (["adjoint"], [1.5, 2, 0, 1]),
+    (["adjoint"], True),
+    (["adjoint"], [True, 0]),
 ], ids=["re-den-0", "im-den-0", "term-den-0", "order-0", "norm-overflow", "nan-pair",
         "nan-number", "inf-pair", "huge-int-pair", "gs-q-den-0", "gs-add-den-0",
-        "gs-huge-prime", "gs-huge-int"])
+        "gs-huge-prime", "gs-huge-int", "float-numerator", "bool-number", "bool-pair"])
 def test_malformed_value_exit_code(tmp_path, capsys, argv, value):
     if value is not None:
         argv = argv + [_write(tmp_path, "bad.json",
@@ -183,8 +233,11 @@ def _bdt_json(entries):
     _bdt_json([[0, ser.MAX_INDEX + 1, [1, 64, 0, 1]]]),
     {"S": [[2 ** 61 - 1, 1]], "bands": []},
     _bd_json([[float("inf"), {"period": 1, "values": [[1, 1, 0, 1]]}]]),
+    _bd_json([[1.7, {"period": 1, "values": [[1, 1, 0, 1]]}]]),
+    _bd_json([[1, {"period": 1.0, "values": [[1, 1, 0, 1]]}]]),
+    {"S": [[2, 1.5]], "bands": []},
 ], ids=["order", "period", "band", "negative-band", "entry-row", "entry-column", "prime",
-        "infinite-band"])
+        "infinite-band", "float-band", "float-period", "float-exponent"])
 def test_decode_cap_exit_code(tmp_path, capsys, payload):
     path = _write(tmp_path, "big.json", payload)
     assert cli_dispatch(["adjoint", path]) == 2

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from bdtk import bloch
+from bdtk import bloch, calculus, index
 from bdtk import corpus as cp
 from bdtk import serialize as ser
 from bdtk.arith import Supernatural, INF
@@ -147,6 +147,34 @@ def test_winding_above_degree_512(S23, monkeypatch):
     monkeypatch.setattr(bloch, "_winding_on_circle", spy)
     assert winding(b) == det_winding_by_phase(bd_symbol(b)) == 22 * (8 - 4)
     assert annulus_counts and min(annulus_counts) == 528
+    annulus_counts.clear()
+    winding(b)
+    assert len(annulus_counts) <= 2  # one census: the circles 1 -+ delta
+
+
+def test_one_determinant_census_per_call(S23, monkeypatch):
+    # invertibility and the winding number come from one root census, so
+    # z^(lD) det B(z) of the caller's symbol is built once per call
+    symbols, det_polys = [], []
+    for mod in (index, calculus):
+        def spy_symbol(b, to_symbol=mod.bd_symbol):
+            symbols.append(to_symbol(b))
+            return symbols[-1]
+        monkeypatch.setattr(mod, "bd_symbol", spy_symbol)
+    det_poly = bloch._laurent_det_poly
+
+    def spy_poly(coeff_mats, l):
+        det_polys.extend(s for s in symbols if s.coeffs is coeff_mats)
+        return det_poly(coeff_mats, l)
+
+    monkeypatch.setattr(bloch, "_laurent_det_poly", spy_poly)
+    b = bd_element(S23, {1: ulc([2, -3, Fraction(5, 2)]), -1: ulc([Fraction(1, 4), 0, 1])})
+    for call in (lambda: fredholm_index(toeplitz(b), schedule=(64, 128, 256)),
+                 lambda: winding(b), lambda: calculus.bd_invert(b, 1e-6, 16)):
+        symbols.clear()
+        det_polys.clear()
+        call()
+        assert len(symbols) == len(det_polys) == 1
 
 
 def test_wrong_count_fails_the_cross_check(tmp_path, capsys, monkeypatch, S23):
