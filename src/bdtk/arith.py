@@ -78,9 +78,9 @@ class Supernatural:
 
     @staticmethod
     def from_int(n: int) -> "Supernatural":
-        if n > MAX_PRIME ** 2:
-            raise ValueError(f"{n} exceeds the cap {MAX_PRIME ** 2}")
-        return Supernatural({p: e for p, e in factorize(n).items()}) if n > 1 else Supernatural({})
+        if not 1 <= n <= MAX_PRIME ** 2:
+            raise ValueError(f"{n} is outside [1, {MAX_PRIME ** 2}]")
+        return Supernatural(factorize(n))
 
     @property
     def exponents(self) -> dict[int, int | float]:

@@ -66,19 +66,40 @@ class CertifiedElement:
     method: str
 
 
-def _float_bands_to_element(S: Supernatural, l: int, bands: dict[int, np.ndarray],
-                            drop_tol: float) -> tuple[BdElement, float]:
-    """Assemble a float-tagged element from band value arrays, dropping bands
-    below drop_tol; returns the element and the dropped sup-norm mass."""
+def _expi(H: np.ndarray) -> np.ndarray:
+    """e^{iH} by eigendecomposition, for one Hermitian matrix or a stack.
+
+    A matmul, not an einsum, so that the dense corners of bdt_exp go through
+    BLAS; V is scaled in place to hold one stack-sized temporary fewer."""
+    w, V = np.linalg.eigh(H)
+    Vh = V.conj().swapaxes(-1, -2)
+    V *= np.exp(1j * w)[..., None, :]
+    return V @ Vh
+
+
+def _grid_candidate(S: Supernatural, sym: bloch.SymbolMatrix, G: int, pointwise,
+                    max_band: int, drop: float) -> tuple[BdElement, float]:
+    """Apply pointwise (np.linalg.inv or _expi) to sym at G equispaced angles
+    and read the bands |n| <= max_band back, dropping those whose sup norm is
+    at most drop; returns the element and the dropped sup-norm mass."""
+    samples = pointwise(sym.at_many(np.arange(G) / G))
     kept: dict[int, object] = {}
     dropped = 0.0
-    for n, vals in bands.items():
+    for n, vals in bloch.symbol_samples_to_bands(samples, max_band).items():
         sup = float(np.max(np.abs(vals)))
-        if sup <= drop_tol:
+        if sup <= drop:
             dropped += sup
             continue
         kept[n] = ulc([Scalar.from_complex(z) for z in vals])
     return bd_element(S, kept), dropped
+
+
+def _dense_to_compact(M: np.ndarray, rows, cols, floor: float) -> CompactMatrix:
+    """The compact matrix with entry (rows[i], cols[j]) = M[i, j] wherever
+    |M[i, j]| > floor, entered in row-major order."""
+    ii, jj = np.nonzero(np.abs(M[:len(rows), :len(cols)]) > floor)
+    return CompactMatrix({(rows[i], cols[j]): Scalar.from_complex(M[i, j])
+                          for i, j in zip(ii, jj)})
 
 
 def bd_invert(b: BdElement, tol: float, max_band: int) -> CertifiedElement:
@@ -104,15 +125,11 @@ def bd_invert(b: BdElement, tol: float, max_band: int) -> CertifiedElement:
             )
     sym = bd_symbol(b)
     bloch.det_winding(sym)  # certifies invertibility; the count is not needed
-    l = b.period
-    G = bloch.grid_size(256, 8 * (max_band // l + 2))
+    G = bloch.grid_size(256, 8 * (max_band // b.period + 2))
     last = None
     drop = tol / (4.0 * max_band)
     for _ in range(4):
-        mats = sym.at_many(np.arange(G) / G)
-        inv = np.linalg.inv(mats)
-        bands = bloch.symbol_samples_to_bands(inv, max_band)
-        cand, dropped = _float_bands_to_element(b.S, l, bands, drop)
+        cand, _ = _grid_candidate(b.S, sym, G, np.linalg.inv, max_band, drop)
         nrm = bd_norm(cand, 1e-8) + 1e-8
         # the certificate floor is ||cand|| * (defect-norm tolerance), so the
         # tolerance must shrink with the candidate's size
@@ -144,6 +161,8 @@ def bdt_invert(a: BdtElement, tol: float, sizes) -> CertifiedElement:
     bloch.check_tol(tol)
     if not sizes:
         raise ValueError("need at least one truncation size")
+    if min(sizes) < 1:
+        raise ValueError(f"truncation sizes must be >= 1, got {min(sizes)}")
     b, c = a.symbol, a.compact
     max_band = max(8, 4 * b.bandwidth + 8)
     sym_tol = min(tol, 1e-8) / 4.0
@@ -179,13 +198,7 @@ def bdt_invert(a: BdtElement, tol: float, sizes) -> CertifiedElement:
                     rhs[k, cols.index(s)] = v.to_complex()
             sol, *_ = np.linalg.lstsq(A_N, rhs, rcond=None)
             keep = N - 2 * max(b.bandwidth, 1)
-            ent = {}
-            for i in range(min(keep, N)):
-                for j, scol in enumerate(cols):
-                    z = -sol[i, j]
-                    if abs(z) > 1e-15:
-                        ent[(i, scol)] = Scalar.from_complex(z)
-            ctilde = CompactMatrix(ent)
+            ctilde = _dense_to_compact(-sol, range(keep), cols, 1e-15)
         x = bdt_add(toeplitz(binv), bdt_from_compact(a.S, ctilde))
         # ||a x - 1|| <= certified banded part + norm of the finite compact part
         r = max(right_norm + bdt_mul(a, x).compact.smax(),
@@ -199,13 +212,6 @@ def bdt_invert(a: BdtElement, tol: float, sizes) -> CertifiedElement:
     if best is not None:
         raise ToleranceUnreachableError(f"best certified bound {best} above tol {tol}")
     raise NotInvertibleError("one-sided defect stayed >= 1 across the schedule")
-
-
-def _hermitian_exp_samples(sym: bloch.SymbolMatrix, G: int) -> np.ndarray:
-    mats = sym.at_many(np.arange(G) / G)
-    w, V = np.linalg.eigh(mats)
-    phases = np.exp(1j * w)
-    return np.einsum("tij,tj,tkj->tik", V, phases, V.conj())
 
 
 def exp_band_reach(b: BdElement) -> int:
@@ -235,13 +241,9 @@ def bd_exp(b: BdElement, tol: float, max_band: int) -> CertifiedElement:
     G = bloch.grid_size(256, 8 * (max_band // l + 2))
     drop = tol / (4.0 * max_band + 4.0)
     norm_tol = max(tol / 16.0, 1e-14)
+    cand, dropped = _grid_candidate(S, sym, G, _expi, max_band, drop)
     for _ in range(3):
-        cand, dropped = _float_bands_to_element(
-            S, l, bloch.symbol_samples_to_bands(_hermitian_exp_samples(sym, G), max_band), drop
-        )
-        cand2, dropped2 = _float_bands_to_element(
-            S, l, bloch.symbol_samples_to_bands(_hermitian_exp_samples(sym, 2 * G), max_band), drop
-        )
+        cand2, dropped2 = _grid_candidate(S, sym, 2 * G, _expi, max_band, drop)
         diff = bd_sub(cand, cand2)
         diff_norm = 0.0 if diff.is_zero() else bd_norm(diff, norm_tol) + norm_tol
         residual = 3.0 * diff_norm + 2.0 * (dropped + dropped2) + 1e-13
@@ -257,7 +259,7 @@ def bd_exp(b: BdElement, tol: float, max_band: int) -> CertifiedElement:
                 residual += 4.0 * shell
         if residual <= tol:
             return CertifiedElement(cand2, residual, "bloch-grid-exp")
-        G *= 2
+        cand, dropped, G = cand2, dropped2, 2 * G
     raise ToleranceUnreachableError(f"exp residual estimate {residual} above tol {tol}")
 
 
@@ -271,16 +273,9 @@ def k_exp(c: CompactMatrix, S: Supernatural | None = None) -> BdtElement:
         raise ValueError("k_exp needs a self-adjoint matrix")
     if c.is_zero():
         return bdt_one(S)
-    W = c.support_bound()
-    block = c.to_numpy(range(W), range(W))
-    w, V = np.linalg.eigh(block)
-    eblock = (V * np.exp(1j * w)) @ V.conj().T - np.eye(W)
-    ent = {}
-    for i in range(W):
-        for j in range(W):
-            if abs(eblock[i, j]) > 1e-16:
-                ent[(i, j)] = Scalar.from_complex(eblock[i, j])
-    return bdt_add(bdt_one(S), bdt_from_compact(S, CompactMatrix(ent)))
+    W = range(c.support_bound())
+    eblock = _expi(c.to_numpy(W, W)) - np.eye(len(W))
+    return bdt_add(bdt_one(S), bdt_from_compact(S, _dense_to_compact(eblock, W, W, 1e-16)))
 
 
 def bdt_exp(a: BdtElement, scale: float, tol: float) -> tuple[BdtElement, float]:
@@ -298,9 +293,7 @@ def bdt_exp(a: BdtElement, scale: float, tol: float) -> tuple[BdtElement, float]
 
     def corner(N: int) -> np.ndarray:
         A = bdt_window_numpy(a, N, N) * scale
-        w, V = np.linalg.eigh((A + A.conj().T) / 2.0)
-        E = (V * np.exp(1j * w)) @ V.conj().T
-        return E - bdt_window_numpy(toeplitz(esym), N, N)
+        return _expi((A + A.conj().T) / 2.0) - bdt_window_numpy(toeplitz(esym), N, N)
 
     reach = max(abs(n) for n in esym.bands) if esym.bands else 1
     N = max(2 * (c.support_bound() + 2 * reach + 16), 192)
@@ -327,12 +320,8 @@ def bdt_exp(a: BdtElement, scale: float, tol: float) -> tuple[BdtElement, float]
                                    compute_uv=False)[0])
         residual = 3.0 * diff + 2.0 * off + edge + 1e-12
         if residual <= tol:
-            ent = {}
-            for i in range(W_used):
-                for j in range(W_used):
-                    if abs(K2[i, j]) > 1e-15:
-                        ent[(i, j)] = Scalar.from_complex(K2[i, j])
-            out = bdt_add(toeplitz(esym), bdt_from_compact(a.S, CompactMatrix(ent)))
+            ctilde = _dense_to_compact(K2, range(W_used), range(W_used), 1e-15)
+            out = bdt_add(toeplitz(esym), bdt_from_compact(a.S, ctilde))
             return out, ecert.residual_bound + residual
         N *= 2
     raise ToleranceUnreachableError(
@@ -346,6 +335,10 @@ def smooth_calc(a: BdtElement, fourier_coeffs: dict[int, complex], L, tol: float
     supported coefficients; the caller supplies the tail bound of the series
     it truncated, which is added to the certificate."""
     bloch.check_tol(tol)
+    if not (math.isfinite(L) and L != 0):
+        raise ValueError(f"L must be finite and nonzero, got {L}")
+    if not (math.isfinite(tail_bound) and tail_bound >= 0):
+        raise ValueError(f"tail_bound must be finite and >= 0, got {tail_bound}")
     if not bdt_is_selfadjoint(a, tol=1e-12):
         raise ValueError("smooth_calc needs a self-adjoint element")
     coeffs = {int(n): complex(v) for n, v in fourier_coeffs.items() if complex(v) != 0}

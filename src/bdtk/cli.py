@@ -137,7 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("index", help="numerical Fredholm index")
     sp.add_argument("a", nargs="?")
     sp.add_argument("--schedule", default="64,128,256,512")
-    sp.add_argument("--svd-threshold", type=float, default=1e-8)
     sp.add_argument("--k0-demo", action="store_true")
     sp.add_argument("--S", default="2:inf")
 
@@ -238,7 +237,7 @@ def _dispatch(args) -> int:
             raise ValueError("index needs an element (or --k0-demo)")
         a = _load_element(args.a, BdtElement)
         schedule = [int(s) for s in args.schedule.split(",")]
-        r = fredholm_index(a, schedule, args.svd_threshold)
+        r = fredholm_index(a, schedule)
         _emit(ser.encode_index_result(r), args)
         return 0
     if cmd == "gs":

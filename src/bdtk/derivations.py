@@ -214,11 +214,11 @@ def der_reconstruct(d, band_limit: int, S: Supernatural) -> CompactMatrix:
             ent[key] = ent[key] + v if key in ent else v
     c = CompactMatrix(ent)
 
-    _verify_reconstruction(d, c, S, B)
+    _verify_reconstruction(d, c, S)
     return c
 
 
-def _verify_reconstruction(d, c: CompactMatrix, S: Supernatural, B: int):
+def _verify_reconstruction(d, c: CompactMatrix, S: Supernatural):
     divs = sn_divisors_upto(S, 16) or [1]
     corpus: list[BdtElement] = [
         toeplitz(bd_v(S, 1)),

@@ -43,6 +43,8 @@ from .bdt import (
 from .compact import k_units
 from .errors import NotFredholmError, NotInvertibleError, UnstableIndexError
 
+SVD_THRESHOLD = 1e-8  # singular values below this count towards a kernel
+
 
 @dataclass(frozen=True)
 class IndexResult:
@@ -51,13 +53,13 @@ class IndexResult:
     stabilized: bool
 
 
-def _near_kernel_count(a: BdtElement, N: int, pad: int, threshold: float) -> tuple[int, float]:
-    """(count of singular values below threshold, gap ratio) for the
+def _near_kernel_count(a: BdtElement, N: int, pad: int) -> tuple[int, float]:
+    """(count of singular values below SVD_THRESHOLD, gap ratio) for the
     rectangular corner of a."""
     M = bdt_window_numpy(a, N + pad, N)
     s = np.linalg.svd(M, compute_uv=False)
-    zeros = s[s < threshold]
-    nonzeros = s[s >= threshold]
+    zeros = s[s < SVD_THRESHOLD]
+    nonzeros = s[s >= SVD_THRESHOLD]
     count = int(len(zeros))
     if count == 0:
         return 0, np.inf
@@ -67,20 +69,23 @@ def _near_kernel_count(a: BdtElement, N: int, pad: int, threshold: float) -> tup
     return count, ratio
 
 
-def fredholm_index(a: BdtElement, schedule=(64, 128, 256, 512),
-                   svd_threshold: float = 1e-8) -> IndexResult:
+def fredholm_index(a: BdtElement, schedule=(64, 128, 256, 512)) -> IndexResult:
     """ind a = -wind det B, certified from the symbol and cross-checked on
     the truncation schedule.
 
     NotFredholmError when the symbol is not certified invertible on the
-    circle.  The sizes are tried in ascending order; the result is returned
-    once three consecutive sizes give dim ker - dim coker equal to the
-    certified index, each with a singular-value gap ratio of at least 1e3.
-    kernel_dims lists the sizes tried.  UnstableIndexError when the schedule
-    runs out first."""
+    circle.  ValueError unless the schedule has at least three distinct
+    sizes, all >= 1.  The sizes are tried in ascending order: kernel and
+    cokernel dimensions count the singular values below SVD_THRESHOLD (1e-8)
+    of rectangular corners, and the result is returned once three
+    consecutive sizes give dim ker - dim coker equal to the certified index,
+    each with a singular-value gap ratio of at least 1e3.  kernel_dims lists
+    the sizes tried.  UnstableIndexError when the schedule runs out first."""
     schedule = sorted(set(int(n) for n in schedule))
     if len(schedule) < 3:
         raise ValueError("schedule needs at least three sizes")
+    if schedule[0] < 1:
+        raise ValueError(f"truncation sizes must be >= 1, got {schedule[0]}")
     b = tau(a)
     if b.is_zero():
         raise NotFredholmError("symbol is zero")
@@ -93,8 +98,8 @@ def fredholm_index(a: BdtElement, schedule=(64, 128, 256, 512),
     dims = []
     confirmed = 0
     for N in schedule:
-        ker, gap1 = _near_kernel_count(a, N, pad, svd_threshold)
-        coker, gap2 = _near_kernel_count(astar, N, pad, svd_threshold)
+        ker, gap1 = _near_kernel_count(a, N, pad)
+        coker, gap2 = _near_kernel_count(astar, N, pad)
         dims.append((N, ker, coker))
         confirmed = confirmed + 1 if ker - coker == index and min(gap1, gap2) >= 1e3 else 0
         if confirmed == 3:

@@ -1,10 +1,12 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.special
 
+from bdtk import bloch
 from bdtk import corpus as cp
 from bdtk.bd import (
     bd_add,
@@ -46,7 +48,7 @@ from bdtk.calculus import (
     smooth_calc,
 )
 from bdtk.compact import CompactMatrix, k_units
-from bdtk.errors import NotInvertibleError
+from bdtk.errors import NotInvertibleError, ToleranceUnreachableError
 from bdtk.scalars import Scalar
 from bdtk.ulc import ulc, ulc_eval, ulc_refine
 
@@ -258,3 +260,29 @@ def test_check_exp_bound_sweeps(S23, rng):
     for _ in range(8):
         c = cp.rand_selfadjoint_compact(rng)
         assert check_exp_bound_c(c, rng.randint(0, 3)).passed
+
+
+def test_bd_exp_builds_each_grid_once(monkeypatch):
+    # a case that runs all three rounds: each round's finer grid is the next
+    # round's base, so the grids built are distinct
+    rng = random.Random(3)
+    b = cp.rand_selfadjoint_bd(rng, cp.DEFAULT_S, n_bands=rng.randint(1, 3), top=8)
+    read_bands = bloch.symbol_samples_to_bands
+    built = []
+
+    def spy(samples, max_band):
+        built.append(samples.shape[0])
+        return read_bands(samples, max_band)
+
+    monkeypatch.setattr(bloch, "symbol_samples_to_bands", spy)
+    with pytest.raises(ToleranceUnreachableError):
+        bd_exp(b, 1e-10, 24)
+    assert len(built) >= 4
+    assert len(built) == len(set(built)), built
+
+
+@pytest.mark.parametrize("sizes", [[0], [64, 0]])
+def test_bdt_invert_rejects_sizes_below_one(S23, sizes):
+    a = bdt_add(toeplitz(bd_scalar(S23, 2) + bd_v(S23, 1)), bdt_from_compact(S23, k_units(0, 0)))
+    with pytest.raises(ValueError):
+        bdt_invert(a, 1e-8, sizes)

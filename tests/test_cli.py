@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ import bdtk
 from bdtk import bloch
 from bdtk import serialize as ser
 from bdtk.arith import Supernatural, INF
-from bdtk.bd import bd_add, bd_equal, bd_one, bd_scalar, bd_sub, bd_v
+from bdtk.bd import bd_add, bd_equal, bd_one, bd_scalar, bd_scale, bd_sub, bd_v
 from bdtk.bdt import BdtElement, bdt_equal, bdt_u, toeplitz
 from bdtk.calculus import bd_exp, bd_invert, bdt_invert, k_exp, smooth_calc
 from bdtk.cli import cli_dispatch
@@ -129,6 +130,13 @@ def test_exp_of_compact_matches_library(tmp_path, capsys):
     assert bdt_equal(out, k_exp(c, _S23), tol=0.0)
 
 
+def test_index_threshold_is_not_an_option(tmp_path, capsys):
+    # a NaN threshold counted no singular value and so confirmed any index
+    path = _write(tmp_path, "u.json", ser.encode_bdt(toeplitz(_B)))
+    assert cli_dispatch(["index", path, "--svd-threshold", "nan"]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_index_of_singular_symbol_is_not_fredholm(tmp_path, capsys):
     path = _write(tmp_path, "t.json", ser.encode_bdt(toeplitz(bd_sub(bd_v(_S23, 1), bd_one(_S23)))))
     assert cli_dispatch(["index", path]) == 1
@@ -197,10 +205,24 @@ _S23_JSON = [[2, "inf"], [3, 1]]
     (["adjoint"], [1.5, 2, 0, 1]),
     (["adjoint"], True),
     (["adjoint"], [True, 0]),
+    (["calc", "{sa}", "--coeffs", "{coeffs}", "--L", "0"], None),
+    (["calc", "{sa}", "--coeffs", "{coeffs}", "--L", "inf"], None),
+    (["calc", "{sa}", "--coeffs", "{coeffs}", "--L", "1", "--tail-bound", "-0.5"], None),
+    (["gs", "--S", "0", "--q", "1/3"], None),
+    (["gs", "--S", "-6", "--q", "1/3"], None),
+    (["exp", "{k}", "--S", "0"], None),
+    (["index", "{u}", "--schedule", "0,1,2"], None),
 ], ids=["re-den-0", "im-den-0", "term-den-0", "order-0", "norm-overflow", "nan-pair",
         "nan-number", "inf-pair", "huge-int-pair", "gs-q-den-0", "gs-add-den-0",
-        "gs-huge-prime", "gs-huge-int", "float-numerator", "bool-number", "bool-pair"])
+        "gs-huge-prime", "gs-huge-int", "float-numerator", "bool-number", "bool-pair",
+        "calc-L-0", "calc-L-inf", "calc-negative-tail-bound", "gs-S-0", "gs-S-negative",
+        "exp-S-0", "index-size-0"])
 def test_malformed_value_exit_code(tmp_path, capsys, argv, value):
+    files = {"sa": ser.encode_bdt(toeplitz(bd_scale(Fraction(1, 4), _H))),  # T((V + V^*)/4)
+             "coeffs": {"1": [1, 0]}, "k": ser.encode_compact(k_units(0, 0)),
+             "u": ser.encode_bdt(toeplitz(_B))}  # T(2 + V)
+    paths = {k: _write(tmp_path, f"{k}.json", v) for k, v in files.items()}
+    argv = [a.format(**paths) for a in argv]
     if value is not None:
         argv = argv + [_write(tmp_path, "bad.json",
                               {"S": _S23_JSON, "bands": [[1, {"period": 1, "values": [value]}]]})]

@@ -201,3 +201,9 @@ def test_k0_demo(S23):
     S2 = Supernatural({2: INF})
     member2 = {row["q"]: row["member"] for row in k0_demo(S2)["gs_membership"]}
     assert member2["3/8"] and not member2["1/3"]
+
+
+def test_fredholm_index_rejects_sizes_below_one(S23):
+    a = bdt_add(bdt_u(S23, 1), bdt_add(bdt_one(S23), bdt_one(S23)))  # T(2 + V)
+    with pytest.raises(ValueError):
+        fredholm_index(a, (0, 1, 2))
