@@ -15,14 +15,11 @@ evaluated at those crossings and at the midpoints of the arcs between them.
 The level is certified from above when no root lies on the circle, or when
 no midpoint exceeds it (sigma_max - lambda keeps one sign on each arc);
 otherwise m rises to the largest evaluated value and the next level is
-tried.  One root census (_circle_roots) serves both polynomials here: a
-companion matrix up to degree 512 and, above it, zero counts on the two edges
-of a thin annulus (argument principle), which only prove that no root lies
-near the circle; when roots are near (or the count does not resolve) no level
-certificate is given unless a higher level is proved clear.  For
-z^(lD) det B(z) the census certifies that B is invertible on the circle and
-counts the roots inside it, hence the winding number of det B and the
-Fredholm index of T(b) (det_winding).
+tried.  One root census (_circle_roots) serves both polynomials here: the
+companion-matrix roots, at every degree, whose floating-point placement the
+level test trusts.  For z^(lD) det B(z) the census certifies that B is
+invertible on the circle and counts the roots inside it, hence the winding
+number of det B and the Fredholm index of T(b) (det_winding).
 """
 
 from __future__ import annotations
@@ -145,32 +142,6 @@ def _laurent_det_poly(coeff_mats: dict[int, np.ndarray], l: int) -> tuple[np.nda
     return c[:deg + 1], 8.0 * float(np.max(np.abs(c[deg + 1:])))
 
 
-def _winding_on_circle(poly_lo2hi: np.ndarray, radius: float) -> int | None:
-    """Number of zeros inside |z| < radius by the argument principle.
-
-    The polynomial is sampled at M equispaced points of the circle; up to
-    eight grids are tried, doubling M, until every phase step is below 1.5 rad
-    and the total is within 1e-6 of an integer.  None when the polynomial comes
-    within 1e-290 of 0 on a grid or the steps never resolve (roots essentially
-    on the sampling circle), which callers treat conservatively."""
-    hi2lo = poly_lo2hi[::-1]
-    M = grid_size(4096, 32 * max(len(poly_lo2hi) - 1, 1))
-    for _ in range(8):
-        vals = np.polyval(hi2lo, radius * np.exp(2j * np.pi * np.arange(M) / M))
-        if np.min(np.abs(vals)) <= 1e-290:
-            return None
-        args = np.angle(vals)
-        d = np.diff(np.concatenate([args, args[:1]]))
-        d = (d + np.pi) % (2 * np.pi) - np.pi
-        if np.max(np.abs(d)) < 1.5:
-            total = d.sum() / (2 * np.pi)
-            w = int(round(total))
-            if abs(total - w) < 1e-6:
-                return w
-        M *= 2
-    return None
-
-
 def _strip_noise(poly_lo2hi: np.ndarray, noise: float) -> tuple[np.ndarray, int] | None:
     """The polynomial without the coefficients at or below the round-off level
     noise at either end, and the number stripped from the low end (roots at
@@ -188,59 +159,30 @@ def _strip_noise(poly_lo2hi: np.ndarray, noise: float) -> tuple[np.ndarray, int]
     return p[first:len(p) - int(np.argmax(keep[::-1]))], first
 
 
-def _circle_roots(p: np.ndarray, delta: float) -> tuple[list[float] | None, int | None]:
+def _circle_roots(p: np.ndarray, delta: float) -> tuple[list[float], int]:
     """Census of the roots of p (coefficients low to high, ends stripped of
-    round-off): the angles (in turns) of the roots within delta of the unit
-    circle, and the number of roots inside |z| < 1 - delta.
-
-    Up to degree 512 the companion-matrix roots are located.  Above, zeros are
-    counted inside the circles of radius 1 -+ delta by the argument principle;
-    equal counts prove that no root lies between them (angles []), otherwise
-    the roots there cannot be placed (angles None).  The count is None when
-    the inner circle does not resolve."""
-    if len(p) - 1 <= 512:
-        roots = np.roots(p[::-1])
-        radii = np.abs(roots)
-        near = roots[np.abs(radii - 1.0) < delta]
-        angles = sorted(set((float(a) / _TWO_PI) % 1.0 for a in np.angle(near)))
-        return angles, int(np.count_nonzero(radii < 1.0 - delta))
-    inside = _winding_on_circle(p, 1.0 - delta)
-    if inside is not None and inside == _winding_on_circle(p, 1.0 + delta):
-        return [], inside
-    return None, inside
+    round-off) from its companion-matrix roots: the angles (in turns) of the
+    roots within delta of the unit circle, and the number of roots inside
+    |z| < 1 - delta."""
+    roots = np.roots(p[::-1])
+    radii = np.abs(roots)
+    near = roots[np.abs(radii - 1.0) < delta]
+    angles = sorted(set((float(a) / _TWO_PI) % 1.0 for a in np.angle(near)))
+    return angles, int(np.count_nonzero(radii < 1.0 - delta))
 
 
-def circle_root_angles(poly_lo2hi: np.ndarray, noise: float = 0.0) -> tuple[list[float], bool]:
-    """Angles (in turns) of polynomial roots within CROSSING_DELTA of the unit
-    circle.
+def circle_root_angles(poly_lo2hi: np.ndarray, noise: float = 0.0) -> list[float] | None:
+    """Angles (in turns) of every polynomial root within CROSSING_DELTA of the
+    unit circle (an empty list: there is none), or None when every
+    coefficient is round-off.
 
     noise is the absolute round-off level of the coefficients (0 for exact
     ones); coefficients at or below it are stripped from both ends
-    (_strip_noise).
-
-    Returns (angles, certified).  certified=True means the list holds every
-    root within CROSSING_DELTA of the circle (an empty list: there is none);
-    certified=False means the test was inconclusive and the angles are only
-    candidate locations.
-    """
+    (_strip_noise)."""
     stripped = _strip_noise(poly_lo2hi, noise)
     if stripped is None:
-        return [0.0], False  # determinant vanishes to round-off: degenerate
-    angles, _ = _circle_roots(stripped[0], CROSSING_DELTA)
-    if angles is None:
-        # roots near the circle, or an unresolved count: only grid minima of |p|
-        return _unit_circle_min_angles(stripped[0]), False
-    return angles, True
-
-
-def _unit_circle_min_angles(poly_lo2hi: np.ndarray, count: int = 6) -> list[float]:
-    deg = len(poly_lo2hi) - 1
-    M = grid_size(4096, 8 * max(deg, 1))
-    z = np.exp(2j * np.pi * np.arange(M) / M)
-    vals = np.abs(np.polyval(poly_lo2hi[::-1], z))
-    local = np.where((vals <= np.roll(vals, 1)) & (vals <= np.roll(vals, -1)))[0]
-    order = local[np.argsort(vals[local])]
-    return [float(i) / M for i in order[:count]]
+        return None
+    return _circle_roots(stripped[0], CROSSING_DELTA)[0]
 
 
 def _gram_coeffs(sym: SymbolMatrix) -> dict[int, np.ndarray]:
@@ -287,11 +229,10 @@ def certified_sup_smax(sym: SymbolMatrix, tol: float) -> float:
     - no midpoint exceeds lam, so no arc lies above the level.
 
     Otherwise m rises to the largest evaluated value (by more than tol/2) and
-    the next level is tried.  When the root test is inconclusive, its
-    candidate angles are evaluated the same way and m is raised if they beat
-    it; if they do not, no certificate is given and ToleranceUnreachableError
-    is raised.  A symbol whose Gram coefficients overflow is out of range
-    (ValueError), and so is a tol that check_tol rejects."""
+    the next level is tried.  A level polynomial that vanishes to round-off
+    gives no certificate (ToleranceUnreachableError), and neither do 64
+    levels without an exit.  A symbol whose Gram coefficients overflow is out
+    of range (ValueError), and so is a tol that check_tol rejects."""
     check_tol(tol)
     W = sym.wrap_degree()
     if W == 0:
@@ -304,16 +245,16 @@ def certified_sup_smax(sym: SymbolMatrix, tol: float) -> float:
     m = float(np.max(_smax_batch(sym.at_many(np.arange(G) / G))))
     for _ in range(64):
         lam = m + 0.5 * tol
-        angles, certified = _level_root_angles(sym, lam, H)
-        if certified and not angles:
+        angles = _level_root_angles(sym, lam, H)
+        if angles is None:
+            break
+        if not angles:
             return m + 0.25 * tol
         cross = np.asarray(angles)
         mids = 0.5 * (cross + np.append(cross[1:], cross[0] + 1.0)) % 1.0
         s = float(np.max(_smax_batch(sym.at_many(np.concatenate([cross, mids])))))
-        if certified and s <= lam:
+        if s <= lam:
             return m + 0.25 * tol
-        if s <= m:
-            break
         m = s
     raise ToleranceUnreachableError("operator-norm certification did not converge")
 
@@ -325,8 +266,8 @@ def det_winding(sym: SymbolMatrix) -> int:
     infinity).  B is certified invertible when no root of p lies within
     INVERTIBILITY_DELTA of the circle and the grid sigma_min exceeds 1e-12;
     the winding number is then #{roots of p in |z| < 1} - lD.
-    NotInvertibleError when that certificate fails, det B vanishes to
-    round-off or the count does not resolve."""
+    NotInvertibleError when that certificate fails or det B vanishes to
+    round-off."""
     l = sym.period
     G = grid_size(256, 8 * (2 * sym.wrap_degree() + 1))
     smin = float(np.linalg.svd(sym.at_many(np.arange(G) / G), compute_uv=False)[:, -1].min())
@@ -336,6 +277,6 @@ def det_winding(sym: SymbolMatrix) -> int:
         raise NotInvertibleError(f"det B vanishes to round-off (grid sigma_min {smin:.3e})")
     p, at_zero = stripped
     angles, inside = _circle_roots(p, INVERTIBILITY_DELTA)
-    if angles != [] or inside is None or smin <= 1e-12:
+    if angles or smin <= 1e-12:
         raise NotInvertibleError(f"symbol singular on the circle (grid sigma_min {smin:.3e})")
     return at_zero + inside - l * sym.wrap_degree()

@@ -232,6 +232,8 @@ def bd_exp(b: BdElement, tol: float, max_band: int) -> CertifiedElement:
     residual estimate compares grids of doubled resolution and adds the
     dropped band tail."""
     bloch.check_tol(tol)
+    if max_band < 1:
+        raise ValueError("max_band must be positive")
     if not bd_is_selfadjoint(b, tol=1e-12):
         raise ValueError("bd_exp needs a self-adjoint element")
     S, l = b.S, b.period
@@ -372,16 +374,16 @@ class BoundCheck:
     certificate: float
 
 
-def check_exp_bound_b(b: BdElement, M: int, tol: float = 1e-6) -> BoundCheck:
+def check_exp_bound_b(b: BdElement, M: int) -> BoundCheck:
     """Check ||e^{ib}||_M <= prod_{j=1..M} (1 + ||b||_j)^{2^{M-j}}.
 
     The left side is a grid lower bound of the P-norm of the certified
     exponential; a failure would falsify the implementation, not the
-    estimate."""
+    estimate.  The exponential is certified to 1e-6, the norms to 1e-8."""
     if not bd_is_selfadjoint(b, tol=1e-12):
         raise ValueError("needs a self-adjoint element")
-    norm_tol = min(tol / 10.0, 1e-8)
-    cert = bd_exp(b, min(1e-6, tol), max_band=exp_band_reach(b))
+    norm_tol = 1e-8
+    cert = bd_exp(b, 1e-6, max_band=exp_band_reach(b))
     lhs = _p_norm_grid_lower(cert.value, M)
     rhs = 1.0
     for j in range(1, M + 1):
@@ -392,7 +394,7 @@ def check_exp_bound_b(b: BdElement, M: int, tol: float = 1e-6) -> BoundCheck:
         cert.residual_bound * 4.0 * (1.0 + maxn) ** M
         + norm_tol * (2 ** (M + 1)) * max(1.0, rhs)
     )
-    return BoundCheck(lhs, rhs, lhs <= rhs + tol + certificate, certificate)
+    return BoundCheck(lhs, rhs, lhs <= rhs + 1e-6 + certificate, certificate)
 
 
 def _p_norm_grid_lower(b: BdElement, M: int) -> float:
@@ -410,9 +412,9 @@ def _p_norm_grid_lower(b: BdElement, M: int) -> float:
     return total
 
 
-def check_exp_bound_c(c: CompactMatrix, M: int, tol: float = 1e-9) -> BoundCheck:
+def check_exp_bound_c(c: CompactMatrix, M: int) -> BoundCheck:
     """Check ||e^{ic}||_{M,0} <= prod_{j=1..M} (1 + ||c||_{j,0})^{2^{M-j}}
-    (everything here is a finite computation)."""
+    (everything here is a finite computation, compared within 1e-9)."""
     e = k_exp(c)
     k = e.compact  # e^{ic} = 1 + k
     W = max(k.support_bound(), 1)
@@ -424,4 +426,4 @@ def check_exp_bound_c(c: CompactMatrix, M: int, tol: float = 1e-9) -> BoundCheck
     rhs = 1.0
     for j in range(1, M + 1):
         rhs *= (1.0 + k_mn_norm(c, j, 0)) ** (2 ** (M - j))
-    return BoundCheck(lhs, rhs, lhs <= rhs + tol, tol)
+    return BoundCheck(lhs, rhs, lhs <= rhs + 1e-9, 1e-9)

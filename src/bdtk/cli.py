@@ -66,11 +66,20 @@ def _parse_fraction(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose rejections raise ValueError instead of
+    printing usage text, so cli_dispatch reports them as a JSON BAD_INPUT
+    error; subparsers inherit the class."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: parse_args fills a
     fresh namespace on every call, so one parser serves every request."""
-    p = argparse.ArgumentParser(prog="bdtk", description=__doc__)
+    p = _Parser(prog="bdtk", description=__doc__)
     p.add_argument("--out", help="write output to this file instead of stdout")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -266,13 +275,10 @@ def _dispatch(args) -> int:
 
 
 def cli_dispatch(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
-        return _dispatch(args)
+        return _dispatch(build_parser().parse_args(argv))
+    except SystemExit:  # --help prints its text and exits 0
+        return 0
     except BdtkError as exc:
         print(ser.dumps({"error": exc.code, "detail": str(exc)}), file=sys.stderr)
         return 1

@@ -78,14 +78,13 @@ def rand_bdt(rng: random.Random, S: Supernatural, **kw) -> BdtElement:
     return bdt(rand_bd(rng, S, **kw), rand_compact(rng))
 
 
-def rand_invertible_bd(rng: random.Random, S: Supernatural, max_band: int = MAX_BAND,
-                       l_max: int = 12) -> tuple[BdElement, int]:
+def rand_invertible_bd(rng: random.Random, S: Supernatural) -> tuple[BdElement, int]:
     """A certified-invertible element: one dominant band with unimodulus-bounded
     values plus a perturbation of total sup-norm below the dominance margin.
     Returns (element, dominant band index); the expected index of its Toeplitz
     lift is minus that band index."""
-    w = rng.randint(-max_band, max_band)
-    periods = [d for d in divisors_of(l_max) if sn_divides(d, S)]
+    w = rng.randint(-MAX_BAND, MAX_BAND)
+    periods = [d for d in divisors_of(12) if sn_divides(d, S)]
     l = rng.choice(periods)
     vals = []
     for _ in range(l):
@@ -95,7 +94,7 @@ def rand_invertible_bd(rng: random.Random, S: Supernatural, max_band: int = MAX_
     bands = {w: ulc(vals)}
     n_extra = rng.randint(0, 2)
     for _ in range(n_extra):
-        n = rng.randint(-max_band, max_band)
+        n = rng.randint(-MAX_BAND, MAX_BAND)
         if n == w or n in bands:
             continue
         # keep the total perturbation below 0.2 << 1 <= min |dominant|, so the

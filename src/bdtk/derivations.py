@@ -124,9 +124,8 @@ def der_covariant_data(d: DerivationSpec, n: int) -> CovariantComponent:
     return CovariantComponent(n, beta)
 
 
-def der_check_covariance(d_n: DerivationSpec, n: int, a: BdtElement, theta_samples,
-                         N: int = 48) -> float:
-    """max over the samples of the truncated norm of
+def der_check_covariance(d_n: DerivationSpec, n: int, a: BdtElement, theta_samples) -> float:
+    """max over the samples of the 48 x 48 truncated norm of
     rho_{-theta} d_n(rho_theta(a)) - e^{-2 pi i n theta} d_n(a)."""
     base = der_apply(d_n, a)
     worst = 0.0
@@ -136,17 +135,18 @@ def der_check_covariance(d_n: DerivationSpec, n: int, a: BdtElement, theta_sampl
         diff = bdt_add(lhs, bdt_scale(-1, rhs))
         if diff.is_zero():
             continue
-        worst = max(worst, float(np.linalg.svd(bdt_window_numpy(diff, N, N), compute_uv=False)[0]))
+        worst = max(worst, float(np.linalg.svd(bdt_window_numpy(diff, 48, 48), compute_uv=False)[0]))
     return worst
 
 
-def _character_level(S: Supernatural, n: int, bound: int = 4096) -> int:
-    """Smallest l | S with l not dividing n, so that chi_l(n) != 1."""
-    for l in range(2, bound + 1):
+def _character_level(S: Supernatural, n: int) -> int:
+    """Smallest l | S, up to 4096, with l not dividing n, so that
+    chi_l(n) != 1."""
+    for l in range(2, 4097):
         if n % l != 0 and sn_divides(l, S):
             return l
     raise UnsupportedDerivationError(
-        f"no divisor of S up to {bound} separates n = {n}"
+        f"no divisor of S up to 4096 separates n = {n}"
     )
 
 

@@ -1,9 +1,9 @@
 """Uniformly locally constant functions on Z/SZ.
 
 A UlcFunction is a period-l function stored as one period of values; the
-period must divide the ambient supernatural number whenever one is in play.
-Every constructor reduces to the minimal period so that structural equality
-is canonical.
+band-element constructor (bd.bd_element) checks that the periods divide the
+ambient supernatural number.  Every constructor reduces to the minimal
+period so that structural equality is canonical.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .arith import Supernatural, sn_divides
 from .scalars import Scalar, FLOAT_EQ_TOL
 
 
@@ -32,11 +31,9 @@ class UlcFunction:
         return f"UlcFunction(l={self.period}, {list(self.values)})"
 
 
-def ulc(values, period: int | None = None) -> UlcFunction:
+def ulc(values) -> UlcFunction:
     """Build a ULC function from one period of values (minimal-period form)."""
     vals = tuple(Scalar.from_number(v) for v in values)
-    if period is not None and period != len(vals):
-        raise ValueError("period does not match number of values")
     l = len(vals)
     if l == 0:
         raise ValueError("need at least one value")
@@ -68,21 +65,14 @@ def ulc_refine(f: UlcFunction, l: int) -> tuple[Scalar, ...]:
     return tuple(f.values[r % f.period] for r in range(l))
 
 
-def _common_period(f: UlcFunction, g: UlcFunction, S: Supernatural | None) -> int:
-    l = f.period * g.period // math.gcd(f.period, g.period)
-    if S is not None and not sn_divides(l, S):
-        raise ValueError(f"combined period {l} does not divide the ambient S")
-    return l
-
-
-def ulc_add(f: UlcFunction, g: UlcFunction, S: Supernatural | None = None) -> UlcFunction:
-    l = _common_period(f, g, S)
+def ulc_add(f: UlcFunction, g: UlcFunction) -> UlcFunction:
+    l = math.lcm(f.period, g.period)
     fv, gv = ulc_refine(f, l), ulc_refine(g, l)
     return ulc([a + b for a, b in zip(fv, gv)])
 
 
-def ulc_mul(f: UlcFunction, g: UlcFunction, S: Supernatural | None = None) -> UlcFunction:
-    l = _common_period(f, g, S)
+def ulc_mul(f: UlcFunction, g: UlcFunction) -> UlcFunction:
+    l = math.lcm(f.period, g.period)
     fv, gv = ulc_refine(f, l), ulc_refine(g, l)
     return ulc([a * b for a, b in zip(fv, gv)])
 
@@ -117,7 +107,7 @@ def ulc_character(l: int, j: int, exact: bool = False) -> UlcFunction:
 
 def ulc_equal(f: UlcFunction, g: UlcFunction, tol: float = FLOAT_EQ_TOL) -> bool:
     """Equality: structural when both sides are exact, tolerance otherwise."""
-    l = f.period * g.period // math.gcd(f.period, g.period)
+    l = math.lcm(f.period, g.period)
     fv, gv = ulc_refine(f, l), ulc_refine(g, l)
     if f.is_exact and g.is_exact:
         return all(a == b for a, b in zip(fv, gv))

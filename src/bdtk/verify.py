@@ -469,9 +469,10 @@ def suite_exp_bounds(seed: int = 7, cases: int = 50) -> VerifyReport:
 # 9. inversion
 # --------------------------------------------------------------------------
 
-def _neumann_inverse(b, w, tol=1e-14, max_terms=200):
+def _neumann_inverse(b, w):
     """Oracle inverse of a dominant-band element b = D + R as
-    D^{-1} sum_k (-R D^{-1})^k, summed until the term norm estimate dies."""
+    D^{-1} sum_k (-R D^{-1})^k, summed until the term norm estimate falls
+    below 1e-14 (at most 200 terms)."""
     S = b.S
     D = bd_element(S, {w: b.bands[w]})
     R = bd_sub(b, D)
@@ -482,10 +483,10 @@ def _neumann_inverse(b, w, tol=1e-14, max_terms=200):
     X = bd_mul(R, Dinv)
     acc = bd_one(S)
     term = bd_one(S)
-    for _ in range(max_terms):
+    for _ in range(200):
         term = bd_scale(-1, bd_mul(term, X))
         acc = bd_add(acc, term)
-        if bd_sup_coefficient_norm(term) * (2 * term.bandwidth + 1) < tol:
+        if bd_sup_coefficient_norm(term) * (2 * term.bandwidth + 1) < 1e-14:
             break
     return bd_mul(Dinv, acc)
 

@@ -1,15 +1,31 @@
+import random
+import time
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from bdtk import bloch
 from bdtk import corpus as cp
-from bdtk.bd import bd_delta_L_power, bd_norm, bd_symbol
+from bdtk.bd import bd_delta_L_power, bd_element, bd_norm, bd_symbol
 from bdtk.errors import ToleranceUnreachableError
+from bdtk.scalars import Scalar
 from bdtk.serialize import decode_bd
+from bdtk.ulc import ulc
 
 
 def _dense_smax(sym, G):
     return bloch._smax_batch(sym.at_many(np.arange(G) / G))
+
+
+def _assert_within_dense_grid_bounds(sym, r, tol):
+    # a posteriori: sup <= grid max + L h / 2 for the Lipschitz bound
+    # L = 2 pi sum_w |w| ||C_w||_2 of theta -> sigma_max(sum_w C_w e^{2 pi i w theta})
+    G = 2 ** 12
+    grid_max = float(np.max(_dense_smax(sym, G)))
+    L = 2 * np.pi * sum(abs(w) * np.linalg.norm(C, 2) for w, C in sym.coeffs.items())
+    assert r >= grid_max - tol
+    assert r <= grid_max + L / (2 * G) + tol
 
 
 # z^6 det(lam^2 I - B^* B), scaled, for the symbol of delta_L^2 b below at
@@ -38,8 +54,8 @@ def test_roundoff_end_coefficients_do_not_hide_crossings():
     # by ~1e-6, past delta, so the level would read as uncrossed.
     clean = np.where(np.abs(LEVEL_POLY) > 1e-10, LEVEL_POLY, 0)[2:11]
     expected = sorted((np.angle(np.roots(clean[::-1])) / (2 * np.pi)) % 1.0)
-    angles, certified = bloch.circle_root_angles(LEVEL_POLY, noise=1e-16)
-    assert certified and len(angles) == len(expected) == 8
+    angles = bloch.circle_root_angles(LEVEL_POLY, noise=1e-16)
+    assert len(angles) == len(expected) == 8
     assert np.allclose(angles, expected, atol=1e-9)
 
 
@@ -53,23 +69,40 @@ def test_level_crossings_found_below_the_sup():
     lower = float(np.max(_dense_smax(sym, 2 ** 16)))
     lam = 54.6133272252
     assert lower > lam
-    angles, certified = bloch._level_root_angles(sym, lam, bloch._gram_coeffs(sym))
-    assert certified and angles
+    assert bloch._level_root_angles(sym, lam, bloch._gram_coeffs(sym))
     assert bd_norm(x, 1e-10) >= lower - 1e-10
 
 
 def test_sup_smax_within_dense_grid_bounds(S23, rng):
-    # a posteriori: sup <= grid max + L h / 2 for the Lipschitz bound
-    # L = 2 pi sum_w |w| ||C_w||_2 of theta -> sigma_max(sum_w C_w e^{2 pi i w theta})
-    G = 2 ** 12
     for _ in range(12):
         sym = bd_symbol(cp.rand_bd(rng, S23, n_bands=rng.randint(1, 3)))
-        tol = 1e-9
-        r = bloch.certified_sup_smax(sym, tol)
-        grid_max = float(np.max(_dense_smax(sym, G)))
-        L = 2 * np.pi * sum(abs(w) * np.linalg.norm(C, 2) for w, C in sym.coeffs.items())
-        assert r >= grid_max - tol
-        assert r <= grid_max + L / (2 * G) + tol
+        _assert_within_dense_grid_bounds(sym, bloch.certified_sup_smax(sym, 1e-9), 1e-9)
+
+
+def test_level_test_above_degree_512(S23, monkeypatch):
+    # bands 0, +-200 and 3 at period 4 are wrap powers up to 50, so B^* B has
+    # wrap powers up to 100 and each level polynomial
+    # z^400 det(lam^2 I - B^* B) has degree 800
+    rng = random.Random(0)
+    b = bd_element(S23, {n: ulc([Scalar.from_fraction(Fraction(rng.randint(-8, 8), 4),
+                                                      Fraction(rng.randint(-8, 8), 4))
+                                 for _ in range(4)])
+                         for n in (0, 200, -200, 3)})
+    sym = bd_symbol(b)
+    census_degrees = []
+    census = bloch._circle_roots
+
+    def spy(p, delta):
+        census_degrees.append(len(p) - 1)
+        return census(p, delta)
+
+    monkeypatch.setattr(bloch, "_circle_roots", spy)
+    start = time.perf_counter()
+    r = bloch.certified_sup_smax(sym, 1e-6)
+    elapsed = time.perf_counter() - start
+    _assert_within_dense_grid_bounds(sym, r, 1e-6)
+    assert max(census_degrees) > 512
+    assert elapsed < 10.0
 
 
 def test_inconclusive_root_test_gives_no_certificate(monkeypatch):
@@ -78,6 +111,6 @@ def test_inconclusive_root_test_gives_no_certificate(monkeypatch):
         [-1, {"period": 2, "values": [[3, 1, 0, 1], [1, 2, 0, 1]]}],
     ]})
     sym = bd_symbol(b)
-    monkeypatch.setattr(bloch, "_level_root_angles", lambda *args: ([0.25], False))
+    monkeypatch.setattr(bloch, "_level_root_angles", lambda *args: None)
     with pytest.raises(ToleranceUnreachableError, match="did not converge"):
         bloch.certified_sup_smax(sym, 1e-9)

@@ -134,7 +134,25 @@ def test_index_threshold_is_not_an_option(tmp_path, capsys):
     # a NaN threshold counted no singular value and so confirmed any index
     path = _write(tmp_path, "u.json", ser.encode_bdt(toeplitz(_B)))
     assert cli_dispatch(["index", path, "--svd-threshold", "nan"]) == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "BAD_INPUT"
+    assert "unrecognized arguments" in err["detail"]
+
+
+@pytest.mark.parametrize("argv,detail", [
+    (["norm", "{h}", "--tol", "abc"], "invalid float value"),
+    (["mul", "{h}"], "the following arguments are required: b"),
+], ids=["tol-not-a-number", "missing-positional"])
+def test_argparse_rejection_is_json_error(capsys, vpv_file, argv, detail):
+    assert cli_dispatch([a.format(h=vpv_file) for a in argv]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "BAD_INPUT"
+    assert detail in err["detail"]
+
+
+def test_help_exits_zero(capsys):
+    assert cli_dispatch(["--help"]) == 0
+    assert "usage: bdtk" in capsys.readouterr().out
 
 
 def test_index_of_singular_symbol_is_not_fredholm(tmp_path, capsys):
@@ -212,15 +230,18 @@ _S23_JSON = [[2, "inf"], [3, 1]]
     (["gs", "--S", "-6", "--q", "1/3"], None),
     (["exp", "{k}", "--S", "0"], None),
     (["index", "{u}", "--schedule", "0,1,2"], None),
+    (["exp", "{h}", "--max-band", "0"], None),
+    (["exp", "{h}", "--max-band", "-1"], None),
 ], ids=["re-den-0", "im-den-0", "term-den-0", "order-0", "norm-overflow", "nan-pair",
         "nan-number", "inf-pair", "huge-int-pair", "gs-q-den-0", "gs-add-den-0",
         "gs-huge-prime", "gs-huge-int", "float-numerator", "bool-number", "bool-pair",
         "calc-L-0", "calc-L-inf", "calc-negative-tail-bound", "gs-S-0", "gs-S-negative",
-        "exp-S-0", "index-size-0"])
+        "exp-S-0", "index-size-0", "exp-max-band-0", "exp-max-band-negative"])
 def test_malformed_value_exit_code(tmp_path, capsys, argv, value):
     files = {"sa": ser.encode_bdt(toeplitz(bd_scale(Fraction(1, 4), _H))),  # T((V + V^*)/4)
              "coeffs": {"1": [1, 0]}, "k": ser.encode_compact(k_units(0, 0)),
-             "u": ser.encode_bdt(toeplitz(_B))}  # T(2 + V)
+             "u": ser.encode_bdt(toeplitz(_B)),  # T(2 + V)
+             "h": ser.encode_bd(_H)}
     paths = {k: _write(tmp_path, f"{k}.json", v) for k, v in files.items()}
     argv = [a.format(**paths) for a in argv]
     if value is not None:
@@ -294,7 +315,7 @@ def test_uncertifiable_norm_is_json_error(tmp_path, capsys, monkeypatch):
         [1, {"period": 2, "values": [[1, 1, 0, 1], [2, 1, 0, 1]]}],
         [-1, {"period": 2, "values": [[3, 1, 0, 1], [1, 2, 0, 1]]}],
     ]})
-    monkeypatch.setattr(bloch, "_level_root_angles", lambda *args: ([0.25], False))
+    monkeypatch.setattr(bloch, "_level_root_angles", lambda *args: None)
     assert cli_dispatch(["norm", path]) == 1
     assert json.loads(capsys.readouterr().err)["error"] == "TOLERANCE_UNREACHABLE"
 

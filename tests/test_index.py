@@ -123,10 +123,10 @@ def test_winding_index_cross_oracle(S23, rng):
 
 def test_winding_above_degree_512(S23, monkeypatch):
     # bands +-264 at period 12 are wrap powers +-22, so z^264 det B(z) has
-    # degree 528 with end coefficients far above round-off, and its zeros are
-    # counted on a circle inside the unit circle instead of by companion-matrix
-    # roots.  B is diagonal; each residue where band 264 dominates band -264
-    # adds 22 to the winding number, each other residue subtracts 22.
+    # degree 528 with end coefficients far above round-off, and all 528 of its
+    # zeros go through one companion-matrix census.  B is diagonal; each
+    # residue where band 264 dominates band -264 adds 22 to the winding
+    # number, each other residue subtracts 22.
     rng = random.Random(12)
 
     def band(moduli):
@@ -137,19 +137,16 @@ def test_winding_above_degree_512(S23, monkeypatch):
     big = [Fraction(2)] * 8 + [Fraction(1, 2)] * 4
     b = bd_element(S23, {264: band(big), 0: band([Fraction(1, 16)] * 12),
                          -264: band([1 / m for m in big])})
-    annulus_counts = []
-    count_on_circle = bloch._winding_on_circle
+    census_degrees = []
+    census = bloch._circle_roots
 
-    def spy(p, radius):
-        annulus_counts.append(len(p) - 1)
-        return count_on_circle(p, radius)
+    def spy(p, delta):
+        census_degrees.append(len(p) - 1)
+        return census(p, delta)
 
-    monkeypatch.setattr(bloch, "_winding_on_circle", spy)
+    monkeypatch.setattr(bloch, "_circle_roots", spy)
     assert winding(b) == det_winding_by_phase(bd_symbol(b)) == 22 * (8 - 4)
-    assert annulus_counts and min(annulus_counts) == 528
-    annulus_counts.clear()
-    winding(b)
-    assert len(annulus_counts) <= 2  # one census: the circles 1 -+ delta
+    assert census_degrees == [528]  # one census, of the full degree
 
 
 def test_one_determinant_census_per_call(S23, monkeypatch):

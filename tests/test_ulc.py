@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bdtk.bd import bd_element
 from bdtk.scalars import Scalar
 from bdtk.ulc import (
     ulc,
@@ -83,7 +84,7 @@ def test_pointwise_scale_zero():
 def test_period_must_divide_ambient(S23):
     f = ulc([1, 2, 3, 4, 5])  # period 5 does not divide S = 2^inf * 3
     with pytest.raises(ValueError):
-        ulc_add(f, ulc([1, 2]), S=S23)
+        bd_element(S23, {0: f})
 
 
 def test_sup_norm():
