@@ -15,7 +15,7 @@ import numpy as np
 
 from . import bloch
 from .arith import Supernatural, sn_divides
-from .scalars import Scalar, phase_scalar, FLOAT_EQ_TOL
+from .scalars import Scalar, phase_scalar
 from .sparse import ScalarMatrix
 from .ulc import (
     UlcFunction,
@@ -29,8 +29,9 @@ from .ulc import (
     ulc_scale,
     ulc_shift,
     ulc_sup_norm,
-    ulc_zero,
 )
+
+_ZERO_ULC = ulc([0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,10 +41,7 @@ class BdElement:
 
     @property
     def period(self) -> int:
-        l = 1
-        for f in self.bands.values():
-            l = l * f.period // math.gcd(l, f.period)
-        return l
+        return math.lcm(*(f.period for f in self.bands.values()))
 
     @property
     def bandwidth(self) -> int:
@@ -85,13 +83,10 @@ class BdElement:
 
 def bd_element(S: Supernatural, bands: dict[int, UlcFunction]) -> BdElement:
     """Canonical constructor: drops zero bands, checks the period lattice."""
-    clean = {int(n): f for n, f in bands.items() if not f.is_zero()}
-    l = 1
-    for f in clean.values():
-        l = l * f.period // math.gcd(l, f.period)
-    if not sn_divides(l, S):
-        raise ValueError(f"combined period {l} does not divide the ambient S")
-    return BdElement(S, clean)
+    b = BdElement(S, {int(n): f for n, f in bands.items() if not f.is_zero()})
+    if not sn_divides(b.period, S):
+        raise ValueError(f"combined period {b.period} does not divide the ambient S")
+    return b
 
 
 def bd_zero(S: Supernatural) -> BdElement:
@@ -172,7 +167,7 @@ def bd_delta_L_power(b: BdElement, j: int) -> BdElement:
 
 def bd_fourier(b: BdElement, n: int) -> UlcFunction:
     """The n-th band coefficient f_n (zero function when absent)."""
-    return b.bands.get(n, ulc_zero())
+    return b.bands.get(n, _ZERO_ULC)
 
 
 def bd_rho(b: BdElement, theta) -> BdElement:
@@ -185,19 +180,15 @@ def bd_rho(b: BdElement, theta) -> BdElement:
     )
 
 
-def bd_equal(b1: BdElement, b2: BdElement, tol: float = FLOAT_EQ_TOL) -> bool:
+def bd_equal(b1: BdElement, b2: BdElement) -> bool:
+    """ulc_equal band by band, a missing band counting as zero."""
     _check_same_s(b1, b2)
-    if b1.is_exact and b2.is_exact:
-        return b1.bands.keys() == b2.bands.keys() and all(
-            ulc_equal(f, b2.bands[n]) for n, f in b1.bands.items()
-        )
-    keys = set(b1.bands) | set(b2.bands)
-    z = ulc_zero()
-    return all(ulc_equal(b1.bands.get(n, z), b2.bands.get(n, z), tol) for n in keys)
+    return all(ulc_equal(b1.bands.get(n, _ZERO_ULC), b2.bands.get(n, _ZERO_ULC))
+               for n in b1.bands.keys() | b2.bands.keys())
 
 
-def bd_is_selfadjoint(b: BdElement, tol: float = FLOAT_EQ_TOL) -> bool:
-    return bd_equal(b, bd_adjoint(b), tol)
+def bd_is_selfadjoint(b: BdElement) -> bool:
+    return bd_equal(b, bd_adjoint(b))
 
 
 def bd_positive_part(b: BdElement) -> BdElement:
@@ -267,6 +258,8 @@ def bd_truncation_smax(b: BdElement, N: int) -> float:
         window = range(lo, lo + N)
         A = bd_apply(b, window).to_numpy(window, window)
         return float(np.linalg.svd(A, compute_uv=False)[0])
+    # imported here, not at module level: scipy.linalg adds about 0.3 s to
+    # the 0.2 s of `import bdtk`, which every CLI call would pay
     import scipy.linalg as sla
 
     cols = {}

@@ -45,7 +45,7 @@ from .compact import (
     k_scale,
     k_zero,
 )
-from .scalars import Scalar, FLOAT_EQ_TOL
+from .scalars import Scalar
 from .sparse import ScalarMatrix
 from .ulc import ulc_eval, ulc_mul, ulc_shift
 
@@ -247,9 +247,9 @@ def bdt_window_numpy(a: BdtElement, rows: int, cols: int) -> np.ndarray:
     return out
 
 
-def bdt_equal(a1: BdtElement, a2: BdtElement, tol: float = FLOAT_EQ_TOL) -> bool:
-    return bd_equal(a1.symbol, a2.symbol, tol) and a1.compact.equal(a2.compact, tol)
+def bdt_equal(a1: BdtElement, a2: BdtElement) -> bool:
+    return bd_equal(a1.symbol, a2.symbol) and a1.compact.equal(a2.compact)
 
 
-def bdt_is_selfadjoint(a: BdtElement, tol: float = FLOAT_EQ_TOL) -> bool:
-    return bdt_equal(a, bdt_adjoint(a), tol)
+def bdt_is_selfadjoint(a: BdtElement) -> bool:
+    return bdt_equal(a, bdt_adjoint(a))

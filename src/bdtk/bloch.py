@@ -17,9 +17,12 @@ no midpoint exceeds it (sigma_max - lambda keeps one sign on each arc);
 otherwise m rises to the largest evaluated value and the next level is
 tried.  One root census (_circle_roots) serves both polynomials here: the
 companion-matrix roots, at every degree, whose floating-point placement the
-level test trusts.  For z^(lD) det B(z) the census certifies that B is
-invertible on the circle and counts the roots inside it, hence the winding
-number of det B and the Fredholm index of T(b) (det_winding).
+level test trusts.  Each determinant is a Laurent polynomial whose powers lie
+in the band span [a, b] of its matrix (_band_span), so the census works on
+z^(-a) det, of degree b - a, whatever the period.  For z^(-a) det B(z) the
+census certifies that B is invertible on the circle and counts the roots
+inside it, hence the winding number of det B and the Fredholm index of T(b)
+(det_winding).
 """
 
 from __future__ import annotations
@@ -119,27 +122,36 @@ def _smax_batch(mats: np.ndarray) -> np.ndarray:
     return np.linalg.svd(mats, compute_uv=False)[..., 0]
 
 
-def _laurent_det_poly(coeff_mats: dict[int, np.ndarray], l: int) -> tuple[np.ndarray, float]:
-    """Coefficients (low to high) of z^(l*D) * det(sum_u A_u z^u), D = max |u|,
-    and the round-off level of those coefficients.
+def _band_span(coeff_mats: dict[int, np.ndarray], l: int) -> tuple[int, int]:
+    """The least and greatest band n = i - j + u l over the nonzero entries
+    (i, j) of the coefficients A_u, or (0, 0) when there is none.
 
-    The coefficients are read off determinants at M >= 2 (2lD + 1) roots of
-    unity by an FFT.  The powers outside [-lD, lD] vanish exactly, so what the
+    A Leibniz term of det(sum_u A_u z^u) takes one entry from each column; its
+    bands sum to l times its z-degree, so every power of the determinant lies
+    in the span."""
+    ns = np.concatenate([np.subtract(*np.nonzero(A)) + u * l for u, A in coeff_mats.items()])
+    return (int(ns.min()), int(ns.max())) if ns.size else (0, 0)
+
+
+def _laurent_det_poly(coeff_mats: dict[int, np.ndarray], l: int) -> tuple[np.ndarray, float, int]:
+    """Coefficients (low to high) of z^(-a) * det(sum_u A_u z^u), with [a, b]
+    the band span (_band_span); the round-off level of those coefficients;
+    and a.
+
+    The coefficients are read off determinants at M >= 2 (b - a + 1) roots of
+    unity by an FFT.  The powers outside [a, b] vanish exactly, so what the
     FFT returns there is round-off alone; eight times its largest value is
     the noise level reported for every coefficient."""
-    D = max((abs(u) for u in coeff_mats), default=0)
-    if D == 0:
-        return np.array([np.linalg.det(coeff_mats.get(0, np.zeros((l, l))))]), 0.0
-    deg = 2 * l * D
-    M = grid_size(1, 2 * (deg + 1))
-    idx = np.arange(M)
-    z = np.exp(2j * np.pi * idx / M)
+    if coeff_mats.keys() <= {0}:
+        return np.array([np.linalg.det(coeff_mats.get(0, np.zeros((l, l))))]), 0.0, 0
+    a, b = _band_span(coeff_mats, l)
+    M = grid_size(1, 2 * (b - a + 1))
+    z = np.exp(2j * np.pi * np.arange(M) / M)
     mats = np.zeros((M, l, l), dtype=complex)
     for u, A in coeff_mats.items():
         mats += (z ** u)[:, None, None] * A
-    # det is a Laurent polynomial of degree range [-lD, lD]
-    c = np.roll(np.fft.fft(np.linalg.det(mats)) / M, l * D)
-    return c[:deg + 1], 8.0 * float(np.max(np.abs(c[deg + 1:])))
+    c = np.roll(np.fft.fft(np.linalg.det(mats)) / M, -a)
+    return c[:b - a + 1], 8.0 * float(np.max(np.abs(c[b - a + 1:]))), a
 
 
 def _strip_noise(poly_lo2hi: np.ndarray, noise: float) -> tuple[np.ndarray, int] | None:
@@ -208,7 +220,7 @@ def _level_root_angles(sym: SymbolMatrix, lam: float, H: dict[int, np.ndarray]):
     if eye_term is None:
         eye_term = shifted.setdefault(0, np.zeros((l, l), dtype=complex))
     eye_term += scale * lam * lam * np.eye(l)
-    poly, noise = _laurent_det_poly(shifted, l)
+    poly, noise, _ = _laurent_det_poly(shifted, l)
     return circle_root_angles(poly, noise=noise)
 
 
@@ -261,17 +273,16 @@ def certified_sup_smax(sym: SymbolMatrix, tol: float) -> float:
 
 def det_winding(sym: SymbolMatrix) -> int:
     """Winding number of theta -> det B(e^{2 pi i theta}) around 0, from one
-    census (_circle_roots) of p(z) = z^(lD) det B(z) with its round-off ends
-    stripped (low-end coefficients are roots at z = 0, high-end ones at
-    infinity).  B is certified invertible when no root of p lies within
-    INVERTIBILITY_DELTA of the circle and the grid sigma_min exceeds 1e-12;
-    the winding number is then #{roots of p in |z| < 1} - lD.
-    NotInvertibleError when that certificate fails or det B vanishes to
-    round-off."""
-    l = sym.period
+    census (_circle_roots) of p(z) = z^(-a) det B(z), [a, b] the band span of
+    B, with its round-off ends stripped (low-end coefficients are roots at
+    z = 0, high-end ones at infinity).  B is certified invertible when no
+    root of p lies within INVERTIBILITY_DELTA of the circle and the grid
+    sigma_min exceeds 1e-12; the winding number is then
+    #{roots of p in |z| < 1} + a.  NotInvertibleError when that certificate
+    fails or det B vanishes to round-off."""
     G = grid_size(256, 8 * (2 * sym.wrap_degree() + 1))
     smin = float(np.linalg.svd(sym.at_many(np.arange(G) / G), compute_uv=False)[:, -1].min())
-    poly, noise = _laurent_det_poly(sym.coeffs, l)
+    poly, noise, a = _laurent_det_poly(sym.coeffs, sym.period)
     stripped = _strip_noise(poly, noise)
     if stripped is None:
         raise NotInvertibleError(f"det B vanishes to round-off (grid sigma_min {smin:.3e})")
@@ -279,4 +290,4 @@ def det_winding(sym: SymbolMatrix) -> int:
     angles, inside = _circle_roots(p, INVERTIBILITY_DELTA)
     if angles or smin <= 1e-12:
         raise NotInvertibleError(f"symbol singular on the circle (grid sigma_min {smin:.3e})")
-    return at_zero + inside - l * sym.wrap_degree()
+    return at_zero + inside + a

@@ -234,7 +234,7 @@ def bd_exp(b: BdElement, tol: float, max_band: int) -> CertifiedElement:
     bloch.check_tol(tol)
     if max_band < 1:
         raise ValueError("max_band must be positive")
-    if not bd_is_selfadjoint(b, tol=1e-12):
+    if not bd_is_selfadjoint(b):
         raise ValueError("bd_exp needs a self-adjoint element")
     S, l = b.S, b.period
     if b.is_zero():
@@ -271,7 +271,7 @@ def k_exp(c: CompactMatrix, S: Supernatural | None = None) -> BdtElement:
     The block exponential is exact to float precision; the ambient S only
     labels the unit symbol (default 2^infinity)."""
     S = S or _DEFAULT_S
-    if not c.equal(c.adjoint(), tol=1e-12):
+    if not c.equal(c.adjoint()):
         raise ValueError("k_exp needs a self-adjoint matrix")
     if c.is_zero():
         return bdt_one(S)
@@ -341,7 +341,7 @@ def smooth_calc(a: BdtElement, fourier_coeffs: dict[int, complex], L, tol: float
         raise ValueError(f"L must be finite and nonzero, got {L}")
     if not (math.isfinite(tail_bound) and tail_bound >= 0):
         raise ValueError(f"tail_bound must be finite and >= 0, got {tail_bound}")
-    if not bdt_is_selfadjoint(a, tol=1e-12):
+    if not bdt_is_selfadjoint(a):
         raise ValueError("smooth_calc needs a self-adjoint element")
     coeffs = {int(n): complex(v) for n, v in fourier_coeffs.items() if complex(v) != 0}
     if not coeffs:
@@ -380,7 +380,7 @@ def check_exp_bound_b(b: BdElement, M: int) -> BoundCheck:
     The left side is a grid lower bound of the P-norm of the certified
     exponential; a failure would falsify the implementation, not the
     estimate.  The exponential is certified to 1e-6, the norms to 1e-8."""
-    if not bd_is_selfadjoint(b, tol=1e-12):
+    if not bd_is_selfadjoint(b):
         raise ValueError("needs a self-adjoint element")
     norm_tol = 1e-8
     cert = bd_exp(b, 1e-6, max_band=exp_band_reach(b))

@@ -105,8 +105,5 @@ def rand_invertible_bd(rng: random.Random, S: Supernatural) -> tuple[BdElement, 
     return bd_element(S, bands), w
 
 
-def rand_derivation(rng: random.Random, S: Supernatural, inner_only: bool = False,
-                    **kw) -> DerivationSpec:
-    gamma = 0 if inner_only else rand_fraction(rng, 4)
-    b = None if inner_only else rand_bd(rng, S, **kw)
-    return derivation(S, gamma, b, rand_compact(rng))
+def rand_derivation(rng: random.Random, S: Supernatural, **kw) -> DerivationSpec:
+    return derivation(S, rand_fraction(rng, 4), rand_bd(rng, S, **kw), rand_compact(rng))

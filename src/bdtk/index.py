@@ -6,9 +6,9 @@ Toeplitz operator with the l x l symbol B(z), and a compact c does not change
 the index: ind(T(b) + c) = -wind det B (Gohberg-Krein; Boettcher &
 Silbermann, Analysis of Toeplitz Operators, 2nd ed. 2006, ch. 6).  One call
 of bloch.det_winding answers both questions from one root census of
-z^(lD) det B(z): no root near the circle certifies that B is invertible there
-(otherwise a is not Fredholm), and the roots inside it give the winding
-number.
+z^(-a) det B(z), [a, b] the band span of B: no root near the circle certifies
+that B is invertible there (otherwise a is not Fredholm), and the roots
+inside it, plus a, give the winding number.
 
 Kernel and cokernel dimensions counted from singular values of rectangular
 corners cross-check that count: for a band-plus-finite operator, the

@@ -7,6 +7,8 @@ numbers (n = 1 or 4) and all roots of unity, which is what keeps band products,
 Toeplitz corrections and roots-of-unity Fourier quadrature entrywise exact.
 Any operation touching a float-tagged operand produces a float-tagged result,
 and equality tests then switch from structural equality to tolerance 1e-12.
+This == is the one equality rule: functions, band elements and matrices
+compare entry by entry with it, a missing entry counting as zero.
 
 Canonical form: an exact value is sum_k num[k] zeta_n^k / d, with integer
 numerators num[k] (zeros omitted) over one denominator d > 0 and

@@ -8,7 +8,7 @@ from collections import defaultdict
 
 import numpy as np
 
-from .scalars import Scalar, FLOAT_EQ_TOL
+from .scalars import Scalar, ZERO
 
 
 class ScalarMatrix:
@@ -66,7 +66,7 @@ class ScalarMatrix:
         )
 
     def get(self, i: int, j: int) -> Scalar:
-        return self.entries.get((i, j), Scalar.from_int(0))
+        return self.entries.get((i, j), ZERO)
 
     def support_bounds(self) -> tuple[int, int, int, int] | None:
         """(min_row, max_row, min_col, max_col), or None when empty."""
@@ -92,17 +92,10 @@ class ScalarMatrix:
         dense = self.to_numpy(range(b[0], b[1] + 1), range(b[2], b[3] + 1))
         return float(np.linalg.svd(dense, compute_uv=False)[0])
 
-    def equal(self, other: "ScalarMatrix", tol: float = FLOAT_EQ_TOL) -> bool:
-        if self.is_exact and other.is_exact:
-            return self.entries.keys() == other.entries.keys() and all(
-                v == other.entries[k] for k, v in self.entries.items()
-            )
-        keys = set(self.entries) | set(other.entries)
-        z = Scalar.from_int(0)
-        return all(
-            abs(self.entries.get(k, z).to_complex() - other.entries.get(k, z).to_complex()) <= tol
-            for k in keys
-        )
+    def equal(self, other: "ScalarMatrix") -> bool:
+        """Scalar equality entry by entry, a missing entry counting as zero."""
+        a, b = self.entries, other.entries
+        return all(a.get(k, ZERO) == b.get(k, ZERO) for k in a.keys() | b.keys())
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({len(self.entries)} entries)"

@@ -12,7 +12,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .scalars import Scalar, FLOAT_EQ_TOL
+from .scalars import Scalar
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,10 +41,6 @@ def ulc(values) -> UlcFunction:
         if l % d == 0 and all(vals[r].identical(vals[r % d]) for r in range(l)):
             return UlcFunction(d, vals[:d])
     return UlcFunction(l, vals)
-
-
-def ulc_zero() -> UlcFunction:
-    return ulc([0])
 
 
 def ulc_eval(f: UlcFunction, k: int) -> Scalar:
@@ -105,10 +101,7 @@ def ulc_character(l: int, j: int, exact: bool = False) -> UlcFunction:
     return ulc([Scalar.from_complex(cmath.exp(2j * cmath.pi * j * r / l)) for r in range(l)])
 
 
-def ulc_equal(f: UlcFunction, g: UlcFunction, tol: float = FLOAT_EQ_TOL) -> bool:
-    """Equality: structural when both sides are exact, tolerance otherwise."""
+def ulc_equal(f: UlcFunction, g: UlcFunction) -> bool:
+    """Scalar equality at every point of the common refinement."""
     l = math.lcm(f.period, g.period)
-    fv, gv = ulc_refine(f, l), ulc_refine(g, l)
-    if f.is_exact and g.is_exact:
-        return all(a == b for a, b in zip(fv, gv))
-    return all(abs(a.to_complex() - b.to_complex()) <= tol for a, b in zip(fv, gv))
+    return all(a == b for a, b in zip(ulc_refine(f, l), ulc_refine(g, l)))

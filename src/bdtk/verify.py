@@ -541,7 +541,7 @@ def suite_derivations(seed: int = 7, cases: int = 100) -> VerifyReport:
             ok = False
         rep.add_exact(f"case-{i:03d}/reconstruct-exact", dig, ok)
     for i in range(30):
-        d = cp.rand_derivation(rng, S, inner_only=False, n_bands=rng.randint(1, 2))
+        d = cp.rand_derivation(rng, S, n_bands=rng.randint(1, 2))
         a = cp.rand_bdt(rng, S, n_bands=rng.randint(1, 2))
         dig = _digest(encode_compact(d.compact_part), encode_bd(d.symbol_part))
         B = der_component_bound(d)

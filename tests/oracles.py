@@ -31,6 +31,21 @@ def window_matrix(b: BdElement, lo: int, hi: int) -> ScalarMatrix:
     return ScalarMatrix(ent)
 
 
+def window_gap(x, y) -> float:
+    """Largest entry gap between two band elements on the two-sided window
+    [-32, 32), or between two BDT elements on the Toeplitz corner [0, N),
+    N >= 32 covering both compact supports."""
+    N = 32
+    if isinstance(x, BdtElement):
+        N = max(N, x.compact.support_bound(), y.compact.support_bound())
+        w = range(N)
+        mx, my = bdt_truncate(x, N), bdt_truncate(y, N)
+    else:
+        w = range(-N, N)
+        mx, my = window_matrix(x, -N, N), window_matrix(y, -N, N)
+    return float(np.max(np.abs(mx.to_numpy(w, w) - my.to_numpy(w, w))))
+
+
 def toeplitz_product_window(b1: BdElement, b2: BdElement, window: int) -> ScalarMatrix:
     """T(b1) T(b2) restricted to [0, window)^2, exactly (padding absorbs the
     truncation boundary)."""

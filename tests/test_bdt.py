@@ -12,6 +12,8 @@ from bdtk.bd import (
     bd_v,
 )
 from bdtk.bdt import (
+    BdtElement,
+    bdt,
     bdt_add,
     bdt_adjoint,
     bdt_component_range,
@@ -29,11 +31,11 @@ from bdtk.bdt import (
     tau,
     toeplitz,
 )
-from bdtk.compact import k_rho, k_scale, k_units
+from bdtk.compact import CompactMatrix, k_rho, k_scale, k_units
 from bdtk.scalars import Scalar
 from bdtk.ulc import ulc, ulc_eval
 
-from .oracles import toeplitz_product_window
+from .oracles import toeplitz_product_window, window_gap
 
 
 def test_toeplitz_basics(S23, rng):
@@ -176,7 +178,7 @@ def test_rho(S23, rng):
         th = rng.random()
         lhs = bdt_rho(bdt_mul(a1, a2), th)
         rhs = bdt_mul(bdt_rho(a1, th), bdt_rho(a2, th))
-        assert bdt_equal(lhs, rhs, tol=1e-9)
+        assert window_gap(lhs, rhs) <= 1e-9
 
 
 def test_projection_relations_at_truncation(S23, rng):
@@ -190,3 +192,39 @@ def test_projection_relations_at_truncation(S23, rng):
         scaled = bdt_scale(ulc_eval(f, 0), p0)
         assert bdt_equal(left, scaled) and bdt_equal(right, scaled)
         assert bdt_truncate(left, 8).equal(bdt_truncate(scaled, 8))
+
+
+def _float_tagged(a):
+    """a with every value float-tagged."""
+    def tag(v):
+        return Scalar.from_complex(v.to_complex())
+    return BdtElement(
+        bd_element(a.S, {n: ulc([tag(v) for v in f.values]) for n, f in a.symbol.bands.items()}),
+        CompactMatrix({k: tag(v) for k, v in a.compact.entries.items()}))
+
+
+def test_equality_rule_on_mixed_containers(S23):
+    # containers compare entry by entry with Scalar ==, a missing entry
+    # counting as zero: exact against exact is structural, anything
+    # float-tagged is within 1e-12, whatever else the container holds
+    x = bdt(bd_element(S23, {0: ulc([1, Fraction(1, 3)]), -2: ulc([Fraction(-5, 7)])}),
+            CompactMatrix({(0, 1): Fraction(2, 3), (2, 2): Scalar.from_fraction(1, -1)}))
+    xf = _float_tagged(x)
+    assert bdt_equal(x, xf) and bdt_equal(xf, x)
+
+    def band(n, *values):
+        return toeplitz(bd_element(S23, {n: ulc(values)}))
+
+    def entry(k, s, value):
+        return bdt_from_compact(S23, CompactMatrix({(k, s): value}))
+
+    for eps, equal in ((1e-9, False), (1e-13, True)):
+        assert bdt_equal(x, xf + band(0, eps, 0)) is equal
+        assert bdt_equal(x, xf + entry(0, 1, eps)) is equal
+    assert bdt_equal(x, xf + band(3, 1e-13)) and bdt_equal(x, xf + entry(5, 5, 1e-13))
+    tiny = Fraction(1, 10 ** 13)
+    assert not bdt_equal(x, x + band(3, tiny)) and not bdt_equal(x, x + entry(5, 5, tiny))
+    # two exact values 1e-13 apart differ, even next to a float-tagged one
+    assert not bdt_equal(band(0, Fraction(1, 3), 0.5), band(0, Fraction(1, 3) + tiny, 0.5))
+    assert not bdt_equal(entry(0, 0, 0.5) + entry(1, 1, Fraction(1, 3)),
+                         entry(0, 0, 0.5) + entry(1, 1, Fraction(1, 3) + tiny))

@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -18,10 +19,9 @@ def _dense_smax(sym, G):
     return bloch._smax_batch(sym.at_many(np.arange(G) / G))
 
 
-def _assert_within_dense_grid_bounds(sym, r, tol):
+def _assert_within_dense_grid_bounds(sym, r, tol, G=2 ** 12):
     # a posteriori: sup <= grid max + L h / 2 for the Lipschitz bound
     # L = 2 pi sum_w |w| ||C_w||_2 of theta -> sigma_max(sum_w C_w e^{2 pi i w theta})
-    G = 2 ** 12
     grid_max = float(np.max(_dense_smax(sym, G)))
     L = 2 * np.pi * sum(abs(w) * np.linalg.norm(C, 2) for w, C in sym.coeffs.items())
     assert r >= grid_max - tol
@@ -103,6 +103,34 @@ def test_level_test_above_degree_512(S23, monkeypatch):
     _assert_within_dense_grid_bounds(sym, r, 1e-6)
     assert max(census_degrees) > 512
     assert elapsed < 10.0
+
+
+def test_census_memory_follows_the_band_span(S23):
+    # bands -1, 0 and 1 at period 128: det B(z) has powers in [-1, 1] and each
+    # level determinant powers in [-2, 2], so their FFTs take 8 and 16 points.
+    # FFTs sized by the nominal degree 2 l D would take 512 and 2048 points of
+    # 128 x 128 matrices, about 0.5 and 1 GiB.
+    rng = random.Random(7)
+
+    def band(lo, hi):
+        return ulc([Scalar.from_fraction(Fraction(rng.choice([1, -1]) * rng.randint(lo, hi), 4),
+                                         Fraction(rng.randint(-2, 2), 4))
+                    for _ in range(128)])
+
+    # |band 0| >= 2 > |band 1| + |band -1|, so B is invertible with winding 0
+    sym = bd_symbol(bd_element(S23, {0: band(8, 16), 1: band(0, 2), -1: band(0, 2)}))
+    results, peaks = [], []
+    tracemalloc.start()
+    try:
+        for call in (lambda: bloch.certified_sup_smax(sym, 1e-6), lambda: bloch.det_winding(sym)):
+            tracemalloc.reset_peak()
+            results.append(call())
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert max(peaks) < 256 * 2 ** 20, peaks
+    _assert_within_dense_grid_bounds(sym, results[0], 1e-6, G=256)
+    assert results[1] == 0
 
 
 def test_inconclusive_root_test_gives_no_certificate(monkeypatch):

@@ -106,6 +106,8 @@ def test_winding_examples(S23):
     assert winding(bd_element(S23, {-3: f})) == -3
     with pytest.raises(NotInvertibleError):
         winding(bd_v(S23, 1) - 1)
+    with pytest.raises(NotInvertibleError):  # the value underflows to 0.0
+        winding(bd_element(S23, {1: ulc([Fraction(1, 10 ** 400)])}))
 
 
 def test_winding_index_cross_oracle(S23, rng):
@@ -119,6 +121,27 @@ def test_winding_index_cross_oracle(S23, rng):
         assert winding(b12) == w
         prod = bdt_mul(toeplitz(b1), toeplitz(b2))
         assert fredholm_index(prod, schedule=(64, 128, 256)).index == -w
+
+
+def test_winding_of_spans_off_the_diagonal(S23):
+    # the census reads z^(-a) det B(z), [a, b] the band span of B, and adds a
+    # back: check it against the phase count on spans wholly above band 0
+    # (a > 0), wholly below it (b < 0) and across it.  One dominant band w,
+    # |f_w| >= 1, plus two bands of sup norm below 1/2 each: the winding is w.
+    rng = random.Random(5)
+    periods = [1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64]
+    spans = [(1, 6), (-6, -1), (-6, 6)]
+    for case in range(3 * len(periods)):
+        l = periods[case // 3]
+        lo, hi = spans[case % 3]
+        w = rng.randint(lo, hi)
+        bands = {w: _invertible_ulc(rng, l)}
+        for n in rng.sample(range(lo, hi + 1), 2):
+            bands.setdefault(n, ulc([Scalar.from_fraction(Fraction(rng.randint(-1, 1), 4),
+                                                          Fraction(rng.randint(-1, 1), 4))
+                                     for _ in range(l)]))
+        sym = bd_symbol(bd_element(S23, bands))
+        assert bloch.det_winding(sym) == det_winding_by_phase(sym) == w, (l, sorted(bands))
 
 
 def test_winding_above_degree_512(S23, monkeypatch):
@@ -151,7 +174,7 @@ def test_winding_above_degree_512(S23, monkeypatch):
 
 def test_one_determinant_census_per_call(S23, monkeypatch):
     # invertibility and the winding number come from one root census, so
-    # z^(lD) det B(z) of the caller's symbol is built once per call
+    # z^(-a) det B(z) of the caller's symbol is built once per call
     symbols, det_polys = [], []
     for mod in (index, calculus):
         def spy_symbol(b, to_symbol=mod.bd_symbol):

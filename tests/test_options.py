@@ -3,9 +3,13 @@ passed by some call in src/bdtk or perfbench, by keyword, by position or
 through * / **.  A default that no call overrides is a constant.
 
 A function that is also referenced as a value (a suite in verify.SUITES, a
-callback) is exempt, because its calls cannot be seen."""
+callback) is exempt, because its calls cannot be seen.  A call that passes a
+parameter its own default value, as a literal keyword argument, overrides
+nothing and is flagged too: it would otherwise hide an unused option."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import bdtk
@@ -85,3 +89,42 @@ def test_every_default_is_overridden_somewhere():
         never += [f"{module}.{name}({p})" for module, i, p in params
                   if (name, p) not in passed and (i is None or (name, i) not in passed)]
     assert not never, f"defaults that no call overrides: {', '.join(sorted(never))}"
+
+
+def _runtime_defaults() -> dict[str, list[dict[str, object]]]:
+    """function name -> {parameter: default} of each function, method and
+    static method of that name defined in a bdtk module (inspect.signature)."""
+    out: dict[str, list] = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        mod = importlib.import_module(f"bdtk.{path.stem}")
+        owned = [v for v in vars(mod).values() if getattr(v, "__module__", None) == mod.__name__]
+        fns = [v for v in owned if inspect.isfunction(v)]
+        for cls in filter(inspect.isclass, owned):
+            fns += [getattr(v, "__func__", v) for v in vars(cls).values()
+                    if inspect.isfunction(getattr(v, "__func__", v))]
+        for fn in fns:
+            out.setdefault(fn.__name__, []).append(
+                {p.name: p.default for p in inspect.signature(fn).parameters.values()
+                 if p.default is not inspect.Parameter.empty})
+    return out
+
+
+def test_no_call_passes_a_default_value():
+    defaults = _runtime_defaults()
+    flagged = []
+    for path in CALLERS:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            name = _called_name(node.func)
+            for kw in node.keywords:
+                try:
+                    value = ast.literal_eval(kw.value)
+                except ValueError:
+                    continue
+                if any(kw.arg in d and type(d[kw.arg]) is type(value) and d[kw.arg] == value
+                       for d in defaults.get(name, ())):
+                    flagged.append(f"{path.name}:{node.lineno} {name}({kw.arg}={value!r})")
+    assert not flagged, f"calls that pass a default value: {', '.join(flagged)}"
