@@ -141,13 +141,17 @@ class GsRational:
 
 
 def sn_divides(l: int, S: Supernatural) -> bool:
-    """True iff every prime power in l is bounded by the exponent in S."""
+    """True iff every prime power in l is bounded by the exponent in S.
+
+    Each prime of S is divided out of l up to its exponent and nothing may be
+    left, so l is never factored and a large l costs no trial division."""
     if l < 1:
         raise ValueError("l must be a positive integer")
-    for p, e in factorize(l).items():
-        if e > S.exponent_of(p):
-            return False
-    return True
+    for p, e in S.exponents.items():
+        while e > 0 and l % p == 0:
+            l //= p
+            e -= 1
+    return l == 1
 
 
 def sn_divisors_upto(S: Supernatural, bound: int) -> list[int]:

@@ -139,18 +139,21 @@ def _laurent_det_poly(coeff_mats: dict[int, np.ndarray], l: int) -> tuple[np.nda
     and a.
 
     The coefficients are read off determinants at M >= 2 (b - a + 1) roots of
-    unity by an FFT.  The powers outside [a, b] vanish exactly, so what the
-    FFT returns there is round-off alone; eight times its largest value is
-    the noise level reported for every coefficient."""
-    if coeff_mats.keys() <= {0}:
-        return np.array([np.linalg.det(coeff_mats.get(0, np.zeros((l, l))))]), 0.0, 0
+    unity by an FFT.  The determinants are taken relative to the largest one
+    (slogdet), since a determinant of size s^l under- or overflows; one
+    positive factor moves no root.  The powers outside [a, b] vanish exactly,
+    so what the FFT returns there is round-off alone; eight times its largest
+    value is the noise level reported for every coefficient."""
     a, b = _band_span(coeff_mats, l)
     M = grid_size(1, 2 * (b - a + 1))
     z = np.exp(2j * np.pi * np.arange(M) / M)
     mats = np.zeros((M, l, l), dtype=complex)
     for u, A in coeff_mats.items():
         mats += (z ** u)[:, None, None] * A
-    c = np.roll(np.fft.fft(np.linalg.det(mats)) / M, -a)
+    sign, logabs = np.linalg.slogdet(mats)
+    top = logabs.max()
+    dets = sign * np.exp(logabs - top) if np.isfinite(top) else np.zeros(M)
+    c = np.roll(np.fft.fft(dets) / M, -a)
     return c[:b - a + 1], 8.0 * float(np.max(np.abs(c[b - a + 1:]))), a
 
 
@@ -212,15 +215,9 @@ def _gram_coeffs(sym: SymbolMatrix) -> dict[int, np.ndarray]:
 
 
 def _level_root_angles(sym: SymbolMatrix, lam: float, H: dict[int, np.ndarray]):
-    l = sym.period
-    hmax = max((float(np.max(np.abs(A))) for A in H.values()), default=0.0)
-    scale = 1.0 / max(lam * lam, hmax, 1e-300)
-    shifted = {u: -scale * A for u, A in H.items()}
-    eye_term = shifted.get(0)
-    if eye_term is None:
-        eye_term = shifted.setdefault(0, np.zeros((l, l), dtype=complex))
-    eye_term += scale * lam * lam * np.eye(l)
-    poly, noise, _ = _laurent_det_poly(shifted, l)
+    shifted = {u: -A for u, A in H.items()}
+    shifted[0] = lam * lam * np.eye(sym.period) - H[0]
+    poly, noise, _ = _laurent_det_poly(shifted, sym.period)
     return circle_root_angles(poly, noise=noise)
 
 

@@ -14,7 +14,10 @@ Kernel and cokernel dimensions counted from singular values of rectangular
 corners cross-check that count: for a band-plus-finite operator, the
 [0, N + pad) x [0, N) corner annihilates exactly the finitely supported
 kernel vectors and nearly annihilates the rapidly decaying ones, while
-avoiding the spurious right-edge kernel of square truncations.  The sizes are
+avoiding the spurious right-edge kernel of square truncations.  The same
+corner of a^* is the adjoint of the [0, N) x [0, N + pad) corner of a, with
+the same singular values, so one (N + pad)-square window of a serves both
+counts.  The sizes are
 tried in ascending order until three consecutive ones agree with the count
 with a clean singular-value gap."""
 
@@ -53,10 +56,9 @@ class IndexResult:
     stabilized: bool
 
 
-def _near_kernel_count(a: BdtElement, N: int, pad: int) -> tuple[int, float]:
+def _near_kernel_count(M: np.ndarray) -> tuple[int, float]:
     """(count of singular values below SVD_THRESHOLD, gap ratio) for the
-    rectangular corner of a."""
-    M = bdt_window_numpy(a, N + pad, N)
+    rectangular corner M."""
     s = np.linalg.svd(M, compute_uv=False)
     zeros = s[s < SVD_THRESHOLD]
     nonzeros = s[s >= SVD_THRESHOLD]
@@ -94,12 +96,12 @@ def fredholm_index(a: BdtElement, schedule=(64, 128, 256, 512)) -> IndexResult:
     except NotInvertibleError as exc:
         raise NotFredholmError(str(exc)) from exc
     pad = max(b.bandwidth, 1) + a.compact.support_bound()
-    astar = bdt_adjoint(a)
     dims = []
     confirmed = 0
     for N in schedule:
-        ker, gap1 = _near_kernel_count(a, N, pad)
-        coker, gap2 = _near_kernel_count(astar, N, pad)
+        M = bdt_window_numpy(a, N + pad, N + pad)
+        ker, gap1 = _near_kernel_count(M[:, :N])
+        coker, gap2 = _near_kernel_count(M[:N, :])
         dims.append((N, ker, coker))
         confirmed = confirmed + 1 if ker - coker == index and min(gap1, gap2) >= 1e3 else 0
         if confirmed == 3:

@@ -19,7 +19,9 @@ whenever the value lies in a smaller cyclotomic field reachable by
 exponent-gcd or by the zeta_{2m} -> -zeta_m^{(m+1)/2} rewrite.  Structural
 equality of canonical forms is therefore value equality.  Gaussian rationals
 (n = 1 or 4) add, multiply, invert and conjugate on at most four integers and
-one gcd.
+one gcd.  Other exact values invert by the field norm: x times its other
+Galois conjugates is the nonzero rational N(x) (Washington, Introduction to
+Cyclotomic Fields, 2nd ed. 1997, ch. 2).
 """
 
 from __future__ import annotations
@@ -30,8 +32,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 FLOAT_EQ_TOL = 1e-12
-_F0 = Fraction(0)
-_F1 = Fraction(1)
 
 # Rational angles with denominator up to this bound keep exact root-of-unity
 # phases; anything else is evaluated in floating point.
@@ -127,8 +127,9 @@ class Scalar:
     Exact: n > 0 and the value is sum_k num[k] zeta_n^k / d.  Float-tagged:
     n == 0 and the value is the complex f.  The terms of num keep the order in
     which canonicalization (or the Gaussian paths, which mirror it) inserts
-    them: to_complex sums in that order, so a different order could change
-    the last bits of every float derived from an exact value.
+    them, and inverse returns them in ascending power order: to_complex sums
+    in that order, so a different order could change the last bits of every
+    float derived from an exact value.
     """
 
     __slots__ = ("n", "num", "d", "f")
@@ -307,12 +308,13 @@ class Scalar:
             # d / (re + i im) = d (re - i im) / (re^2 + im^2)
             re, im = self.num.get(0, 0), self.num.get(1, 0)
             return Scalar._gauss(self.d * re, -self.d * im, re * re + im * im)
-        phi = [Fraction(a) for a in cyclotomic_polynomial(n)]
-        poly = [_F0] * (len(phi) - 1)
-        for k, c in self.c.items():
-            poly[k] = c
-        gcd_const, u = _poly_inverse_mod(poly, phi)
-        return Scalar._exact(n, {k: c / gcd_const for k, c in enumerate(u) if c})
+        # 1/x = others / N(x), others the product of sigma_k(x), gcd(k, n) = 1
+        others = ONE
+        for k in range(2, n):
+            if math.gcd(k, n) == 1:
+                others = others * Scalar._make(n, {j * k: c for j, c in self.num.items()}, self.d)
+        inv = others * (self * others).inverse()
+        return Scalar(inv.n, dict(sorted(inv.num.items())), inv.d, None)
 
     def __truediv__(self, other) -> "Scalar":
         return self * Scalar.from_number(other).inverse()
@@ -363,75 +365,6 @@ class Scalar:
         if g is not None:
             return f"Scalar({g[0]}{'+' if g[1] >= 0 else ''}{g[1]}i)"
         return f"Scalar(zeta_{self.n}: {sorted(self.c.items())})"
-
-
-def _poly_inverse_mod(a: list[Fraction], phi: list[Fraction]) -> tuple[Fraction, list[Fraction]]:
-    # extended Euclid in Q[x]: returns (g, u) with u*a = g mod phi, g a nonzero
-    # constant (phi is irreducible over Q and a is nonzero modulo phi)
-    def deg(p):
-        for i in range(len(p) - 1, -1, -1):
-            if p[i]:
-                return i
-        return -1
-
-    def trim(p):
-        d = deg(p)
-        return p[: d + 1] if d >= 0 else []
-
-    def sub_scaled(p, q, c, shift):
-        out = list(p) + [_F0] * max(0, len(q) + shift - len(p))
-        for i, qc in enumerate(q):
-            if qc:
-                out[i + shift] -= c * qc
-        return trim(out)
-
-    def mul(p, q):
-        if not p or not q:
-            return []
-        out = [_F0] * (len(p) + len(q) - 1)
-        for i, pc in enumerate(p):
-            if pc:
-                for j, qc in enumerate(q):
-                    if qc:
-                        out[i + j] += pc * qc
-        return trim(out)
-
-    r0, r1 = trim(list(phi)), trim(list(a))
-    s0, s1 = [], [_F1]
-    while r1:
-        q = []
-        rem = list(r0)
-        dr1 = deg(r1)
-        lead = r1[dr1]
-        while deg(rem) >= dr1:
-            dr = deg(rem)
-            c = rem[dr] / lead
-            q = ([_F0] * (dr - dr1) + [c]) if not q else _poly_add(q, [_F0] * (dr - dr1) + [c])
-            rem = sub_scaled(rem, r1, c, dr - dr1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, _poly_sub(s0, mul(q, s1))
-    if deg(r0) != 0:
-        raise ZeroDivisionError("element has no inverse (unexpected)")
-    u = list(s0) + [_F0] * (len(phi) - 1 - len(s0))
-    return r0[0], u
-
-
-def _poly_add(p, q):
-    out = list(p) + [_F0] * max(0, len(q) - len(p))
-    for i, c in enumerate(q):
-        out[i] += c
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _poly_sub(p, q):
-    out = list(p) + [_F0] * max(0, len(q) - len(p))
-    for i, c in enumerate(q):
-        out[i] -= c
-    while out and not out[-1]:
-        out.pop()
-    return out
 
 
 @lru_cache(maxsize=None)

@@ -23,7 +23,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import corpus as cp
-from .arith import INF, GsRational, Supernatural, embed_int, gs_add, gs_contains, odometer, sn_divides
+from .arith import (
+    INF, GsRational, Supernatural, embed_int, factorize, gs_add, gs_contains, odometer, sn_divides,
+)
 from .bd import (
     bd_add,
     bd_adjoint,
@@ -650,14 +652,8 @@ def suite_index(seed: int = 7, cases: int = 50) -> VerifyReport:
 # --------------------------------------------------------------------------
 
 def _sn_divides_oracle(l: int, S: Supernatural) -> bool:
-    # independent: cancel the allowed prime powers directly
-    rest = l
-    for p, e in S.exponents.items():
-        k = 0
-        while rest % p == 0 and (e == INF or k < e):
-            rest //= p
-            k += 1
-    return rest == 1
+    # independent of sn_divides' cancellation: factor l by trial division
+    return all(e <= S.exponent_of(p) for p, e in factorize(l).items())
 
 def suite_gs_arithmetic(seed: int = 7, cases: int = 10000) -> VerifyReport:
     rng = random.Random(seed)

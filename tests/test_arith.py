@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -75,6 +76,16 @@ def test_gs_membership(S23, S2):
     assert not gs_contains(Fraction(1, 9), S23)
     assert gs_contains(Fraction(4, 2), S2)  # reduces to an integer
     assert not gs_contains(Fraction(1, 3), S2)
+
+
+def test_membership_of_large_denominators_is_bounded(S2, S23):
+    # the primes of S are divided out of l, so l is never factored: trial
+    # division of the prime 10^17 + 3 alone takes tens of seconds
+    start = time.perf_counter()
+    assert not gs_contains(Fraction(1, 10 ** 17 + 3), S2)
+    assert gs_contains(Fraction(1, 2 ** 200), S2)
+    assert not sn_divides(2 ** 200 * 9, S23)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_gs_add(S23, S2):

@@ -8,7 +8,7 @@ from bdtk import bloch, calculus, index
 from bdtk import corpus as cp
 from bdtk import serialize as ser
 from bdtk.arith import Supernatural, INF
-from bdtk.bd import bd_element, bd_m, bd_mul, bd_symbol, bd_v
+from bdtk.bd import bd_element, bd_m, bd_mul, bd_scale, bd_symbol, bd_v
 from bdtk.bdt import (
     bdt_add,
     bdt_adjoint,
@@ -142,6 +142,21 @@ def test_winding_of_spans_off_the_diagonal(S23):
                                      for _ in range(l)]))
         sym = bd_symbol(bd_element(S23, bands))
         assert bloch.det_winding(sym) == det_winding_by_phase(sym) == w, (l, sorted(bands))
+
+
+def test_winding_of_scaled_period_64_symbols(S23):
+    # det B of a period-64 symbol scaled by s is s^64 det B: 2^(+-1280) lies
+    # outside double range, so the census reads determinants relative to the
+    # largest sample.  Scaling moves no root, and band 0 dominates (|f_0| >= 1,
+    # bands +-1 of sup norm 1/4), so the winding stays 0.
+    rng = random.Random(64)
+    b = bd_element(S23, {0: _invertible_ulc(rng, 64),
+                         1: ulc([Fraction(rng.randint(-1, 1), 4) for _ in range(64)]),
+                         -1: ulc([Fraction(rng.randint(-1, 1), 4) for _ in range(64)])})
+    for s in (Fraction(1, 2 ** 20), 2 ** 20):
+        bs = bd_scale(s, b)
+        assert winding(bs) == 0
+        assert fredholm_index(toeplitz(bs), schedule=(64, 128, 256)).index == 0
 
 
 def test_winding_above_degree_512(S23, monkeypatch):

@@ -1,10 +1,16 @@
+import json
 import math
+import random
+import time
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from bdtk.scalars import Scalar, cyclotomic_polynomial, phase_scalar
-from bdtk.serialize import encode_scalar
+from bdtk.bd import bd_element
+from bdtk.cli import cli_dispatch
+from bdtk.scalars import ONE, Scalar, cyclotomic_polynomial, phase_scalar
+from bdtk.serialize import encode_bd, encode_scalar
+from bdtk.ulc import ulc
 
 from .oracles import (
     ref_add,
@@ -60,6 +66,21 @@ def test_exact_division():
         assert (w * w.inverse()) == Scalar.from_int(1)
 
 
+def test_cli_inverts_an_order_257_value(tmp_path, capsys, S23):
+    # one-band exact elements invert entrywise; the field norm takes
+    # phi(257) - 2 = 254 products for this value
+    rng = random.Random(257)
+    x = Scalar._exact(257, {k: Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                            for k in rng.sample(range(256), 4)})
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps(encode_bd(bd_element(S23, {0: ulc([x])}))))
+    start = time.perf_counter()
+    assert cli_dispatch(["invert", str(path)]) == 0
+    assert time.perf_counter() - start < 3.0
+    assert json.loads(capsys.readouterr().out)["method"] == "exact-monomial-inverse"
+    assert x * x.inverse() == ONE
+
+
 @given(fracs, fracs, fracs, fracs)
 def test_gaussian_field_laws(a, b, c, d):
     x = Scalar.from_fraction(a, b)
@@ -110,7 +131,7 @@ def test_phase_scalar_rational_vs_float():
     assert not phase_scalar(1, Fraction(1, 97)).is_exact  # denominator above the bound
 
 
-ORDERS = (1, 3, 4, 9, 12, 28, 36)
+ORDERS = (1, 3, 4, 5, 7, 9, 11, 12, 28, 36)
 
 
 @st.composite
