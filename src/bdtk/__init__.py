@@ -5,7 +5,6 @@ derivation classification round trips and numerical Fredholm indices."""
 
 from .arith import (
     INF,
-    GsRational,
     Residue,
     Supernatural,
     embed_int,
@@ -17,6 +16,7 @@ from .arith import (
 )
 from .bd import (
     BdElement,
+    bd_add,
     bd_adjoint,
     bd_apply,
     bd_delta_L,
@@ -29,6 +29,8 @@ from .bd import (
     bd_one,
     bd_p_norm,
     bd_rho,
+    bd_scale,
+    bd_sub,
     bd_symbol,
     bd_v,
     bd_zero,
@@ -36,6 +38,7 @@ from .bd import (
 from .bdt import (
     BdtElement,
     bdt,
+    bdt_add,
     bdt_adjoint,
     bdt_dK,
     bdt_equal,
@@ -43,6 +46,7 @@ from .bdt import (
     bdt_from_compact,
     bdt_mul,
     bdt_rho,
+    bdt_scale,
     bdt_truncate,
     bdt_u,
     correction,

@@ -24,21 +24,6 @@ INF = math.inf
 MAX_PRIME = 2 ** 20
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization by trial division (desk-scale integers)."""
     if n < 1:
@@ -65,7 +50,7 @@ class Supernatural:
         for p, e in exponents.items():
             if p > MAX_PRIME:
                 raise ValueError(f"prime {p} exceeds the cap {MAX_PRIME}")
-            if not is_prime(p):
+            if not (p >= 2 and factorize(p) == {p: 1}):
                 raise ValueError(f"{p} is not prime")
             if e == 0:
                 continue
@@ -119,27 +104,6 @@ class Residue:
             raise ValueError("value out of range")
 
 
-@dataclass(frozen=True)
-class GsRational:
-    """A rational k/l with l dividing the ambient supernatural number."""
-
-    numerator: int
-    denominator: int
-
-    def __post_init__(self):
-        if self.denominator <= 0:
-            raise ValueError("denominator must be positive")
-        if math.gcd(self.numerator, self.denominator) != 1:
-            raise ValueError("not in lowest terms")
-
-    @staticmethod
-    def from_fraction(q: Fraction) -> "GsRational":
-        return GsRational(q.numerator, q.denominator)
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.numerator, self.denominator)
-
-
 def sn_divides(l: int, S: Supernatural) -> bool:
     """True iff every prime power in l is bounded by the exponent in S.
 
@@ -172,19 +136,15 @@ def odometer(x: Residue, m: int) -> Residue:
 
 def gs_contains(q, S: Supernatural) -> bool:
     """Membership of a rational in G_S = {k/l : l | S} (q is reduced first)."""
-    if isinstance(q, GsRational):
-        q = q.as_fraction()
-    q = Fraction(q)
-    return sn_divides(q.denominator, S)
+    return sn_divides(Fraction(q).denominator, S)
 
 
-def gs_add(q1: GsRational, q2: GsRational, S: Supernatural) -> GsRational:
+def gs_add(q1: Fraction, q2: Fraction, S: Supernatural) -> Fraction:
     """Group law of G_S; verifies membership of inputs and output."""
     for q in (q1, q2):
         if not gs_contains(q, S):
             raise MembershipError(f"{q.numerator}/{q.denominator} is not in G_S")
-    s = q1.as_fraction() + q2.as_fraction()
-    out = GsRational.from_fraction(s)
+    out = q1 + q2
     if not gs_contains(out, S):  # lcm of divisors of S divides S
         raise MembershipError("closure violated (cannot happen for valid inputs)")
     return out

@@ -54,29 +54,6 @@ class BdElement:
     def is_zero(self) -> bool:
         return not self.bands
 
-    def __add__(self, other):
-        if isinstance(other, BdElement):
-            return bd_add(self, other)
-        return bd_add(self, bd_scalar(self.S, other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, BdElement):
-            return bd_add(self, bd_scale(-1, other))
-        return bd_add(self, bd_scalar(self.S, -Scalar.from_number(other)))
-
-    def __mul__(self, other):
-        if isinstance(other, BdElement):
-            return bd_mul(self, other)
-        return bd_scale(other, self)
-
-    def __rmul__(self, other):
-        return bd_scale(other, self)
-
-    def __neg__(self):
-        return bd_scale(-1, self)
-
     def __repr__(self) -> str:
         return f"BdElement(bands={sorted(self.bands)})"
 

@@ -28,7 +28,6 @@ from .bd import (
     bd_mul,
     bd_one,
     bd_rho,
-    bd_scalar,
     bd_scale,
     bd_v,
     bd_zero,
@@ -66,29 +65,6 @@ class BdtElement:
     def is_zero(self) -> bool:
         return self.symbol.is_zero() and self.compact.is_zero()
 
-    def __add__(self, other):
-        if isinstance(other, BdtElement):
-            return bdt_add(self, other)
-        return bdt_add(self, bdt_scalar(self.S, other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, BdtElement):
-            return bdt_add(self, bdt_scale(-1, other))
-        return self + (-Scalar.from_number(other))
-
-    def __mul__(self, other):
-        if isinstance(other, BdtElement):
-            return bdt_mul(self, other)
-        return bdt_scale(other, self)
-
-    def __rmul__(self, other):
-        return bdt_scale(other, self)
-
-    def __neg__(self):
-        return bdt_scale(-1, self)
-
     def __repr__(self) -> str:
         return f"BdtElement(bands={sorted(self.symbol.bands)}, compact={len(self.compact.entries)})"
 
@@ -109,10 +85,6 @@ def tau(a: BdtElement) -> BdElement:
 
 def bdt_from_compact(S: Supernatural, c: CompactMatrix) -> BdtElement:
     return BdtElement(bd_zero(S), c)
-
-
-def bdt_scalar(S: Supernatural, z) -> BdtElement:
-    return BdtElement(bd_scalar(S, z), k_zero())
 
 
 def bdt_one(S: Supernatural) -> BdtElement:

@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import serialize as ser
-from .arith import GsRational, gs_add, gs_contains, parse_supernatural
+from .arith import gs_add, gs_contains, parse_supernatural
 from .bd import BdElement, bd_adjoint, bd_fourier, bd_mul, bd_norm, bd_p_norm
 from .bdt import (
     BdtElement,
@@ -252,10 +252,8 @@ def _dispatch(args) -> int:
     if cmd == "gs":
         S = parse_supernatural(args.S)
         if args.add:
-            q1 = GsRational.from_fraction(_parse_fraction(args.add[0]))
-            q2 = GsRational.from_fraction(_parse_fraction(args.add[1]))
-            s = gs_add(q1, q2, S)
-            _emit({"sum": ser.encode_gs_rational(s)}, args)
+            s = gs_add(_parse_fraction(args.add[0]), _parse_fraction(args.add[1]), S)
+            _emit({"sum": [s.numerator, s.denominator]}, args)
         elif args.q:
             _emit({"member": gs_contains(_parse_fraction(args.q), S)}, args)
         else:

@@ -26,22 +26,6 @@ class CompactMatrix(ScalarMatrix):
         b = self.support_bounds()
         return 0 if b is None else max(b[1], b[3]) + 1
 
-    def __add__(self, other):
-        return self.add(other)
-
-    def __sub__(self, other):
-        return self.sub(other)
-
-    def __mul__(self, other):
-        if isinstance(other, CompactMatrix):
-            return self.matmul(other)
-        return self.scale(other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self.scale(-1)
-
 
 def k_zero() -> CompactMatrix:
     return CompactMatrix({})

@@ -191,7 +191,7 @@ def der_reconstruct(d, band_limit: int, S: Supernatural) -> CompactMatrix:
         if n == 0:
             continue
         l = _character_level(S, n)
-        chi = ulc_character(l, 1, exact=True)
+        chi = ulc_character(l, 1)
         if l not in dM:
             dM[l] = d(toeplitz(bd_m(S, chi)))
         dnM = _require_compact(bdt_fourier(dM[l], n), f"d_{n}(M_chi)")

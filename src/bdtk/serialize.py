@@ -12,7 +12,7 @@ import cmath
 import json
 from fractions import Fraction
 
-from .arith import INF, GsRational, Residue, Supernatural
+from .arith import INF, Supernatural
 from .bd import BdElement, bd_element
 from .bdt import BdtElement
 from .calculus import CertifiedElement
@@ -125,22 +125,6 @@ def encode_supernatural(S: Supernatural) -> list:
 
 def decode_supernatural(obj) -> Supernatural:
     return Supernatural({_int(p): (INF if e == "inf" else _int(e)) for p, e in obj})
-
-
-def encode_residue(x: Residue) -> list:
-    return [x.value, x.level]
-
-
-def decode_residue(obj) -> Residue:
-    return Residue(_int(obj[0]), _int(obj[1]))
-
-
-def encode_gs_rational(q: GsRational) -> list:
-    return [q.numerator, q.denominator]
-
-
-def decode_gs_rational(obj) -> GsRational:
-    return GsRational(_int(obj[0]), _int(obj[1]))
 
 
 def encode_bd(b: BdElement) -> dict:

@@ -8,7 +8,6 @@ period so that structural equality is canonical.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -87,18 +86,13 @@ def ulc_sup_norm(f: UlcFunction) -> float:
     return max(abs(v) for v in f.values)
 
 
-def ulc_character(l: int, j: int, exact: bool = False) -> UlcFunction:
-    """The character x -> e^{2 pi i j x / l} at level l.
-
-    By default the values are float-tagged.  exact=True stores them as exact
-    roots of unity, which the derivation-reconstruction machinery needs in
-    order to recover matrix coefficients exactly.
-    """
+def ulc_character(l: int, j: int) -> UlcFunction:
+    """The character x -> e^{2 pi i j x / l} at level l, stored as exact roots
+    of unity so that derivation reconstruction recovers matrix coefficients
+    exactly."""
     if l < 1:
         raise ValueError("level must be positive")
-    if exact:
-        return ulc([Scalar.root_of_unity(j * r, l) for r in range(l)])
-    return ulc([Scalar.from_complex(cmath.exp(2j * cmath.pi * j * r / l)) for r in range(l)])
+    return ulc([Scalar.root_of_unity(j * r, l) for r in range(l)])
 
 
 def ulc_equal(f: UlcFunction, g: UlcFunction) -> bool:

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from bdtk.arith import (
     INF,
-    GsRational,
     Residue,
     Supernatural,
     embed_int,
@@ -89,24 +88,24 @@ def test_membership_of_large_denominators_is_bounded(S2, S23):
 
 
 def test_gs_add(S23, S2):
-    q = gs_add(GsRational(1, 2), GsRational(1, 3), S23)
+    q = gs_add(Fraction(1, 2), Fraction(1, 3), S23)
     assert (q.numerator, q.denominator) == (5, 6)
-    q = gs_add(GsRational(1, 2), GsRational(-1, 2), S2)
+    q = gs_add(Fraction(1, 2), Fraction(-1, 2), S2)
     assert (q.numerator, q.denominator) == (0, 1)
-    q = gs_add(GsRational(1, 4), GsRational(1, 4), S2)
+    q = gs_add(Fraction(1, 4), Fraction(1, 4), S2)
     assert (q.numerator, q.denominator) == (1, 2)
     with pytest.raises(MembershipError):
-        gs_add(GsRational(1, 3), GsRational(1, 2), S2)
+        gs_add(Fraction(1, 3), Fraction(1, 2), S2)
 
 
 @given(st.integers(-99, 99), st.integers(-99, 99), st.integers(0, 5), st.integers(0, 5))
 def test_gs_closure(k1, k2, e1, e2):
     S = Supernatural({2: INF, 3: 1})
-    q1 = GsRational.from_fraction(Fraction(k1, 2 ** e1 * 3))
-    q2 = GsRational.from_fraction(Fraction(k2, 2 ** e2))
+    q1 = Fraction(k1, 2 ** e1 * 3)
+    q2 = Fraction(k2, 2 ** e2)
     s = gs_add(q1, q2, S)
     assert gs_contains(s, S)
-    assert s.as_fraction() == q1.as_fraction() + q2.as_fraction()
+    assert s == q1 + q2
 
 
 def test_parse_supernatural():

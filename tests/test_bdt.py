@@ -219,12 +219,14 @@ def test_equality_rule_on_mixed_containers(S23):
         return bdt_from_compact(S23, CompactMatrix({(k, s): value}))
 
     for eps, equal in ((1e-9, False), (1e-13, True)):
-        assert bdt_equal(x, xf + band(0, eps, 0)) is equal
-        assert bdt_equal(x, xf + entry(0, 1, eps)) is equal
-    assert bdt_equal(x, xf + band(3, 1e-13)) and bdt_equal(x, xf + entry(5, 5, 1e-13))
+        assert bdt_equal(x, bdt_add(xf, band(0, eps, 0))) is equal
+        assert bdt_equal(x, bdt_add(xf, entry(0, 1, eps))) is equal
+    assert bdt_equal(x, bdt_add(xf, band(3, 1e-13)))
+    assert bdt_equal(x, bdt_add(xf, entry(5, 5, 1e-13)))
     tiny = Fraction(1, 10 ** 13)
-    assert not bdt_equal(x, x + band(3, tiny)) and not bdt_equal(x, x + entry(5, 5, tiny))
+    assert not bdt_equal(x, bdt_add(x, band(3, tiny)))
+    assert not bdt_equal(x, bdt_add(x, entry(5, 5, tiny)))
     # two exact values 1e-13 apart differ, even next to a float-tagged one
     assert not bdt_equal(band(0, Fraction(1, 3), 0.5), band(0, Fraction(1, 3) + tiny, 0.5))
-    assert not bdt_equal(entry(0, 0, 0.5) + entry(1, 1, Fraction(1, 3)),
-                         entry(0, 0, 0.5) + entry(1, 1, Fraction(1, 3) + tiny))
+    assert not bdt_equal(bdt_add(entry(0, 0, 0.5), entry(1, 1, Fraction(1, 3))),
+                         bdt_add(entry(0, 0, 0.5), entry(1, 1, Fraction(1, 3) + tiny)))

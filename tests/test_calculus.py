@@ -70,7 +70,7 @@ def test_invert_diagonal(S23):
 
 
 def test_invert_neumann_oracle(S23):
-    b = bd_scalar(S23, 2) + bd_v(S23, 1)
+    b = bd_add(bd_scalar(S23, 2), bd_v(S23, 1))
     cert = bd_invert(b, 1e-9, 40)
     assert cert.residual_bound <= 1e-9
     for k in range(10):
@@ -81,7 +81,7 @@ def test_invert_neumann_oracle(S23):
 
 def test_invert_not_invertible(S23):
     with pytest.raises(NotInvertibleError):
-        bd_invert(bd_v(S23, 1) - 1, 1e-6, 8)
+        bd_invert(bd_sub(bd_v(S23, 1), bd_one(S23)), 1e-6, 8)
     with pytest.raises(NotInvertibleError):
         bd_invert(bd_zero(S23), 1e-6, 8)
 
@@ -112,7 +112,7 @@ def test_bdt_invert_index_obstruction(S23):
 
 
 def test_bdt_invert_toeplitz(S23):
-    b = bd_scalar(S23, 5) + bd_scale(2, bd_v(S23, 1)) + bd_scale(2, bd_v(S23, -1))
+    b = bd_add(bd_add(bd_scalar(S23, 5), bd_scale(2, bd_v(S23, 1))), bd_scale(2, bd_v(S23, -1)))
     cert = bdt_invert(toeplitz(b), 1e-8, [64, 128, 256])
     assert cert.residual_bound <= 1e-8
     A = bdt_window_numpy(toeplitz(b), 300, 300)
@@ -203,7 +203,8 @@ def test_k_exp_unitary_on_block(S23, rng):
 def test_smooth_calc_constant(S23):
     a = toeplitz(bd_scalar(S23, Fraction(1, 2)))
     res = smooth_calc(a, {0: 3.0}, 1.0, 1e-9)
-    assert bdt_equal(res.value, bdt_from_compact(S23, CompactMatrix({})) + 3)
+    assert bdt_equal(res.value, bdt_add(bdt_from_compact(S23, CompactMatrix({})),
+                                        bdt_scale(3, bdt_one(S23))))
 
 
 def test_smooth_calc_diagonal_oracle(S23):
@@ -283,6 +284,7 @@ def test_bd_exp_builds_each_grid_once(monkeypatch):
 
 @pytest.mark.parametrize("sizes", [[0], [64, 0]])
 def test_bdt_invert_rejects_sizes_below_one(S23, sizes):
-    a = bdt_add(toeplitz(bd_scalar(S23, 2) + bd_v(S23, 1)), bdt_from_compact(S23, k_units(0, 0)))
+    a = bdt_add(toeplitz(bd_add(bd_scalar(S23, 2), bd_v(S23, 1))),
+                bdt_from_compact(S23, k_units(0, 0)))
     with pytest.raises(ValueError):
         bdt_invert(a, 1e-8, sizes)

@@ -53,7 +53,7 @@ def test_dK_leibniz_exact(rng):
         c1 = cp.rand_compact(rng, nnz=4)
         c2 = cp.rand_compact(rng, nnz=4)
         lhs = k_dK(k_mul(c1, c2))
-        rhs = k_dK(c1) * c2 + c1 * k_dK(c2)
+        rhs = k_add(k_mul(k_dK(c1), c2), k_mul(c1, k_dK(c2)))
         assert lhs.equal(rhs)
         assert lhs.is_exact
 

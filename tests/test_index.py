@@ -8,7 +8,7 @@ from bdtk import bloch, calculus, index
 from bdtk import corpus as cp
 from bdtk import serialize as ser
 from bdtk.arith import Supernatural, INF
-from bdtk.bd import bd_element, bd_m, bd_mul, bd_scale, bd_symbol, bd_v
+from bdtk.bd import bd_element, bd_m, bd_mul, bd_one, bd_scale, bd_sub, bd_symbol, bd_v
 from bdtk.bdt import (
     bdt_add,
     bdt_adjoint,
@@ -16,6 +16,7 @@ from bdtk.bdt import (
     bdt_from_compact,
     bdt_mul,
     bdt_one,
+    bdt_scale,
     bdt_u,
     toeplitz,
 )
@@ -65,7 +66,8 @@ def test_exact_kernel_example(S23):
 
 def test_not_fredholm(S23):
     with pytest.raises(NotFredholmError):
-        fredholm_index(bdt_u(S23, 1) - 1)  # symbol V - 1 vanishes on the circle
+        # symbol V - 1 vanishes on the circle
+        fredholm_index(bdt_add(bdt_u(S23, 1), bdt_scale(-1, bdt_one(S23))))
     with pytest.raises(NotFredholmError):
         fredholm_index(bdt_from_compact(S23, k_units(0, 0)))
 
@@ -105,7 +107,7 @@ def test_winding_examples(S23):
     assert winding(bd_m(S23, f)) == 0
     assert winding(bd_element(S23, {-3: f})) == -3
     with pytest.raises(NotInvertibleError):
-        winding(bd_v(S23, 1) - 1)
+        winding(bd_sub(bd_v(S23, 1), bd_one(S23)))
     with pytest.raises(NotInvertibleError):  # the value underflows to 0.0
         winding(bd_element(S23, {1: ulc([Fraction(1, 10 ** 400)])}))
 
@@ -148,7 +150,8 @@ def test_winding_of_scaled_period_64_symbols(S23):
     # det B of a period-64 symbol scaled by s is s^64 det B: 2^(+-1280) lies
     # outside double range, so the census reads determinants relative to the
     # largest sample.  Scaling moves no root, and band 0 dominates (|f_0| >= 1,
-    # bands +-1 of sup norm 1/4), so the winding stays 0.
+    # bands +-1 of sup norm 1/4), so the winding stays 0.  The phase oracle
+    # reads the same scaled determinants through slogdet's sign.
     rng = random.Random(64)
     b = bd_element(S23, {0: _invertible_ulc(rng, 64),
                          1: ulc([Fraction(rng.randint(-1, 1), 4) for _ in range(64)]),
@@ -156,6 +159,7 @@ def test_winding_of_scaled_period_64_symbols(S23):
     for s in (Fraction(1, 2 ** 20), 2 ** 20):
         bs = bd_scale(s, b)
         assert winding(bs) == 0
+        assert det_winding_by_phase(bd_symbol(bs)) == 0
         assert fredholm_index(toeplitz(bs), schedule=(64, 128, 256)).index == 0
 
 

@@ -3,11 +3,11 @@ from fractions import Fraction
 
 from bdtk import corpus as cp
 from bdtk import serialize as ser
-from bdtk.arith import GsRational, Residue, Supernatural, INF
+from bdtk.arith import Supernatural, INF
 from bdtk.bd import bd_equal, bd_rho
 from bdtk.bdt import bdt_equal
 from bdtk.scalars import Scalar
-from bdtk.ulc import ulc, ulc_character, ulc_equal
+from bdtk.ulc import ulc, ulc_equal
 
 
 def test_scalar_roundtrip():
@@ -26,19 +26,13 @@ def test_supernatural_roundtrip():
     assert ser.decode_supernatural(ser.encode_supernatural(S)) == S
 
 
-def test_residue_and_rational():
-    assert ser.decode_residue(ser.encode_residue(Residue(3, 8))) == Residue(3, 8)
-    q = GsRational(-5, 6)
-    assert ser.decode_gs_rational(ser.encode_gs_rational(q)) == q
-
-
 def test_ulc_roundtrip_exact_and_float():
     f = ulc([Fraction(1, 2), Fraction(-2, 3)])
     assert ser.decode_ulc(ser.encode_ulc(f)).values == f.values
-    chi = ulc_character(4, 1)
-    enc = ser.encode_ulc(chi)
+    g = ulc([0.5, 1j, -0.5, -1j])
+    enc = ser.encode_ulc(g)
     assert enc.get("float") is True
-    assert ulc_equal(ser.decode_ulc(enc), chi)
+    assert ulc_equal(ser.decode_ulc(enc), g)
 
 
 def test_corpus_roundtrip_structural_equality(rng, S23):

@@ -109,8 +109,7 @@ def test_characters():
     chi = ulc_character(4, 1)
     expect = [1, 1j, -1, -1j]
     assert all(abs(ulc_eval(chi, k).to_complex() - expect[k]) < 1e-12 for k in range(4))
-    assert not chi.is_exact
-    assert ulc_character(4, 1, exact=True).is_exact
+    assert chi.is_exact
 
 
 @given(st.integers(1, 12), st.integers(0, 11), st.integers(-20, 20), st.integers(-20, 20))
