@@ -183,9 +183,8 @@ def bdt_dK(a: BdtElement) -> BdtElement:
 
 def bdt_fourier(a: BdtElement, n: int) -> BdtElement:
     """n-th Fourier component: T of the n-th band plus the n-th diagonal of c."""
-    band = bd_fourier(a.symbol, n)
-    sym = bd_element(a.S, {n: band}) if not band.is_zero() else bd_zero(a.S)
-    return BdtElement(sym, k_diagonal_part(a.compact, n))
+    return BdtElement(bd_element(a.S, {n: bd_fourier(a.symbol, n)}),
+                      k_diagonal_part(a.compact, n))
 
 
 def bdt_rho(a: BdtElement, theta) -> BdtElement:

@@ -10,19 +10,19 @@ The sup is certified by the level-set iteration for the L-infinity norm
 (Boyd & Balakrishnan 1990; Bruinsma & Steinbuch 1990).  The maximum m over an
 equispaced grid is a lower bound attained at an evaluated angle.  At the
 level lambda = m + tol/2 the unimodular roots of det(lambda^2 I - B(z)^* B(z))
-are the angles where a singular-value sheet crosses the level; sigma_max is
-evaluated at those crossings and at the midpoints of the arcs between them.
-The level is certified from above when no root lies on the circle, or when
-no midpoint exceeds it (sigma_max - lambda keeps one sign on each arc);
-otherwise m rises to the largest evaluated value and the next level is
-tried.  One root census (_circle_roots) serves both polynomials here: the
-companion-matrix roots, at every degree, whose floating-point placement the
-level test trusts.  Each determinant is a Laurent polynomial whose powers lie
-in the band span [a, b] of its matrix (_band_span), so the census works on
-z^(-a) det, of degree b - a, whatever the period.  For z^(-a) det B(z) the
-census certifies that B is invertible on the circle and counts the roots
-inside it, hence the winding number of det B and the Fredholm index of T(b)
-(det_winding).
+are the angles where a singular-value sheet crosses the level.  Each computed
+root within CROSSING_DELTA = 1e-2 of the circle is a candidate angle, not a
+trusted crossing: sigma_max is evaluated there and at the midpoints of the
+arcs between candidates (a spurious cut only splits an arc).  The level is
+certified from above when no root lies that near the circle, or when no
+midpoint exceeds it; otherwise m rises to the largest evaluated value and the
+next level is tried.  One root census (_circle_roots), the companion-matrix
+roots in floating point at every degree, serves both polynomials.  Each
+determinant is a Laurent polynomial whose powers lie in the band span [a, b]
+of its matrix (_band_span), so the census works on z^(-a) det, of degree
+b - a, whatever the period.  For z^(-a) det B(z) the census certifies that B
+is invertible on the circle and counts the roots inside it, hence the winding
+number of det B and the Fredholm index of T(b) (det_winding).
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ from .errors import NotInvertibleError, ToleranceUnreachableError
 _TWO_PI = 2.0 * np.pi
 # a root of det B(z) this close to the unit circle makes the symbol singular
 INVERTIBILITY_DELTA = 1e-8
-# a root of a level polynomial this close to the unit circle is a level crossing
-CROSSING_DELTA = 1e-7
+# a root of a level polynomial this close to the unit circle is a candidate crossing
+CROSSING_DELTA = 1e-2
 
 
 @dataclass
@@ -229,12 +229,13 @@ def certified_sup_smax(sym: SymbolMatrix, tol: float) -> float:
     m starts as the maximum over an equispaced grid and is always a value of
     sigma_max at an evaluated angle, hence a lower bound.  At the level
     lam = m + tol/2 the unimodular roots of det(lam^2 I - B^* B) are exactly
-    the angles where some singular value equals lam; they cut the circle into
-    arcs on which sigma_max - lam keeps one sign.  sigma_max is evaluated at
-    the crossings and at the arc midpoints.  Two exits certify sup <= lam and
+    the angles where some singular value equals lam.  The computed roots
+    within CROSSING_DELTA of the circle include them and cut the circle into
+    arcs on which sigma_max - lam keeps one sign; sigma_max is evaluated at
+    the cuts and at the arc midpoints.  Two exits certify sup <= lam and
     return m + tol/4:
 
-    - no root lies on the circle, so sigma_max < lam everywhere;
+    - no root lies within CROSSING_DELTA of the circle, so sigma_max < lam;
     - no midpoint exceeds lam, so no arc lies above the level.
 
     Otherwise m rises to the largest evaluated value (by more than tol/2) and

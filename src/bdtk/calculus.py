@@ -38,7 +38,6 @@ from .bdt import (
     BdtElement,
     bdt,
     bdt_add,
-    bdt_from_compact,
     bdt_is_selfadjoint,
     bdt_mul,
     bdt_one,
@@ -94,6 +93,11 @@ def _grid_candidate(S: Supernatural, sym: bloch.SymbolMatrix, G: int, pointwise,
     return bd_element(S, kept), dropped
 
 
+def _norm_bound(x: BdElement, tol: float) -> float:
+    """An upper bound on ||x||: its norm certified within tol, plus tol."""
+    return 0.0 if x.is_zero() else bd_norm(x, tol) + tol
+
+
 def _dense_to_compact(M: np.ndarray, rows, cols, floor: float) -> CompactMatrix:
     """The compact matrix with entry (rows[i], cols[j]) = M[i, j] wherever
     |M[i, j]| > floor, entered in row-major order."""
@@ -130,12 +134,12 @@ def bd_invert(b: BdElement, tol: float, max_band: int) -> CertifiedElement:
     drop = tol / (4.0 * max_band)
     for _ in range(4):
         cand, _ = _grid_candidate(b.S, sym, G, np.linalg.inv, max_band, drop)
-        nrm = bd_norm(cand, 1e-8) + 1e-8
+        nrm = _norm_bound(cand, 1e-8)
         # the certificate floor is ||cand|| * (defect-norm tolerance), so the
         # tolerance must shrink with the candidate's size
         norm_tol = max(min(tol, 1e-9) / (8.0 * max(1.0, nrm)), 1e-15)
         defect = bd_sub(bd_mul(b, cand), bd_one(b.S))
-        r = (0.0 if defect.is_zero() else bd_norm(defect, norm_tol) + norm_tol)
+        r = _norm_bound(defect, norm_tol)
         if r < 1.0:
             bound = nrm * r / (1.0 - r)
             if bound <= tol:
@@ -184,8 +188,7 @@ def bdt_invert(a: BdtElement, tol: float, sizes) -> CertifiedElement:
     # so both banded defects are certified once
     right_defect = bd_sub(bd_mul(b, binv), bd_one(b.S))
     left_defect = bd_sub(bd_mul(binv, b), bd_one(b.S))
-    right_norm, left_norm = (0.0 if d.is_zero() else bd_norm(d, norm_tol) + norm_tol
-                             for d in (right_defect, left_defect))
+    right_norm, left_norm = (_norm_bound(d, norm_tol) for d in (right_defect, left_defect))
 
     best = None
     for N in sizes:
@@ -199,12 +202,12 @@ def bdt_invert(a: BdtElement, tol: float, sizes) -> CertifiedElement:
             sol, *_ = np.linalg.lstsq(A_N, rhs, rcond=None)
             keep = N - 2 * max(b.bandwidth, 1)
             ctilde = _dense_to_compact(-sol, range(keep), cols, 1e-15)
-        x = bdt_add(toeplitz(binv), bdt_from_compact(a.S, ctilde))
+        x = bdt(binv, ctilde)
         # ||a x - 1|| <= certified banded part + norm of the finite compact part
         r = max(right_norm + bdt_mul(a, x).compact.smax(),
                 left_norm + bdt_mul(x, a).compact.smax())
         if r < 1.0:
-            xnorm = (bd_norm(binv, norm_tol) + norm_tol) + ctilde.smax()
+            xnorm = _norm_bound(binv, norm_tol) + ctilde.smax()
             bound = xnorm * r / (1.0 - r)
             if bound <= tol:
                 return CertifiedElement(x, bound, "symbol-inverse+truncated-solve")
@@ -247,7 +250,7 @@ def bd_exp(b: BdElement, tol: float, max_band: int) -> CertifiedElement:
     for _ in range(3):
         cand2, dropped2 = _grid_candidate(S, sym, 2 * G, _expi, max_band, drop)
         diff = bd_sub(cand, cand2)
-        diff_norm = 0.0 if diff.is_zero() else bd_norm(diff, norm_tol) + norm_tol
+        diff_norm = _norm_bound(diff, norm_tol)
         residual = 3.0 * diff_norm + 2.0 * (dropped + dropped2) + 1e-13
         # mass still present in the outermost band shell means the cutoff is
         # active and the uncomputed tail cannot be ignored
@@ -277,7 +280,7 @@ def k_exp(c: CompactMatrix, S: Supernatural | None = None) -> BdtElement:
         return bdt_one(S)
     W = range(c.support_bound())
     eblock = _expi(c.to_numpy(W, W)) - np.eye(len(W))
-    return bdt_add(bdt_one(S), bdt_from_compact(S, _dense_to_compact(eblock, W, W, 1e-16)))
+    return bdt(bd_one(S), _dense_to_compact(eblock, W, W, 1e-16))
 
 
 def bdt_exp(a: BdtElement, scale: float, tol: float) -> tuple[BdtElement, float]:
@@ -323,8 +326,7 @@ def bdt_exp(a: BdtElement, scale: float, tol: float) -> tuple[BdtElement, float]
         residual = 3.0 * diff + 2.0 * off + edge + 1e-12
         if residual <= tol:
             ctilde = _dense_to_compact(K2, range(W_used), range(W_used), 1e-15)
-            out = bdt_add(toeplitz(esym), bdt_from_compact(a.S, ctilde))
-            return out, ecert.residual_bound + residual
+            return bdt(esym, ctilde), ecert.residual_bound + residual
         N *= 2
     raise ToleranceUnreachableError(
         f"compact part of the exponential did not converge (estimate {residual})"

@@ -206,16 +206,16 @@ def _dispatch(args) -> int:
     if cmd == "invert":
         a = _load_element(args.a, BdElement, BdtElement)
         if isinstance(a, BdElement):
-            ce = bd_invert(a, args.tol, args.max_band)
+            ce = bd_invert(a, args.tol, ser._capped("--max-band", args.max_band, ser.MAX_BAND))
         else:
-            sizes = [int(s) for s in args.sizes.split(",")]
+            sizes = [ser._capped("size", int(s), ser.MAX_INDEX) for s in args.sizes.split(",")]
             ce = bdt_invert(a, args.tol, sizes)
         _emit(ser.encode_certified(ce), args)
         return 0
     if cmd == "exp":
         a = _load_element(args.a, BdElement, CompactMatrix)
         if isinstance(a, BdElement):
-            ce = bd_exp(a, args.tol, args.max_band)
+            ce = bd_exp(a, args.tol, ser._capped("--max-band", args.max_band, ser.MAX_BAND))
             _emit(ser.encode_certified(ce), args)
         else:
             out = k_exp(a, parse_supernatural(args.S))
@@ -235,8 +235,8 @@ def _dispatch(args) -> int:
         elif args.dcommand == "component":
             _emit(ser.encode_derivation(der_component(d, args.n)), args)
         else:
-            c = der_reconstruct(der_as_callable(d), args.band_limit, d.S)
-            _emit(ser.encode_compact(c), args)
+            limit = ser._capped("--band-limit", args.band_limit, ser.MAX_BAND)
+            _emit(ser.encode_compact(der_reconstruct(der_as_callable(d), limit, d.S)), args)
         return 0
     if cmd == "index":
         if args.k0_demo:
@@ -245,7 +245,7 @@ def _dispatch(args) -> int:
         if not args.a:
             raise ValueError("index needs an element (or --k0-demo)")
         a = _load_element(args.a, BdtElement)
-        schedule = [int(s) for s in args.schedule.split(",")]
+        schedule = [ser._capped("size", int(s), ser.MAX_INDEX) for s in args.schedule.split(",")]
         r = fredholm_index(a, schedule)
         _emit(ser.encode_index_result(r), args)
         return 0

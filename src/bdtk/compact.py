@@ -75,10 +75,17 @@ def k_weighted_smax(c: CompactMatrix, j: int, N: int) -> float:
 
 
 def k_mn_norm(c: CompactMatrix, M: int, N: int) -> float:
-    """Sum over j <= M of binom(M, j) * ||d_K^j(c) (I+K)^N||."""
+    """Sum over j <= M of binom(M, j) * ||d_K^j(c) (I+K)^N||; ValueError past
+    double range."""
     if M < 0 or N < 0:
         raise ValueError("M and N must be nonnegative")
-    return sum(math.comb(M, j) * k_weighted_smax(c, j, N) for j in range(M + 1))
+    try:
+        total = sum(math.comb(M, j) * k_weighted_smax(c, j, N) for j in range(M + 1))
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise ValueError(f"the (M, N)-norm at M = {M}, N = {N} overflows double precision")
+    return total
 
 
 def k_rho(c: CompactMatrix, theta) -> CompactMatrix:

@@ -20,6 +20,7 @@ from .arith import Supernatural, sn_divides, sn_divisors_upto
 from .bd import BdElement, bd_element, bd_m, bd_v, bd_zero
 from .bdt import (
     BdtElement,
+    bdt,
     bdt_add,
     bdt_component_range,
     bdt_dK,
@@ -32,7 +33,7 @@ from .bdt import (
     bdt_window_numpy,
     toeplitz,
 )
-from .compact import CompactMatrix, k_units, k_zero
+from .compact import CompactMatrix, k_units
 from .errors import ReconstructionMismatchError, UnsupportedDerivationError
 from .scalars import Scalar, phase_scalar
 from .ulc import ulc, ulc_character, ulc_eval
@@ -40,15 +41,14 @@ from .ulc import ulc, ulc_character, ulc_eval
 
 @dataclass(frozen=True, eq=False)
 class DerivationSpec:
-    """d = gamma d_K + [T(b) + c, .]."""
+    """d = gamma d_K + [x, .] with x = T(b) + c."""
 
     gamma: Scalar
-    symbol_part: BdElement
-    compact_part: CompactMatrix
+    x: BdtElement
 
     @property
     def S(self) -> Supernatural:
-        return self.symbol_part.S
+        return self.x.S
 
 
 @dataclass(frozen=True)
@@ -62,22 +62,12 @@ class CovariantComponent:
 
 def derivation(S: Supernatural, gamma=0, b: BdElement | None = None,
                c: CompactMatrix | None = None) -> DerivationSpec:
-    return DerivationSpec(
-        Scalar.from_number(gamma),
-        b if b is not None else bd_zero(S),
-        c if c is not None else k_zero(),
-    )
-
-
-def der_inner_element(d: DerivationSpec) -> BdtElement:
-    """The implementing element x = T(b) + c of the inner part."""
-    return bdt_add(toeplitz(d.symbol_part), bdt_from_compact(d.S, d.compact_part))
+    return DerivationSpec(Scalar.from_number(gamma), bdt(b if b is not None else bd_zero(S), c))
 
 
 def der_apply(d: DerivationSpec, a: BdtElement) -> BdtElement:
-    """gamma d_K(a) + [T(b) + c, a], exactly."""
-    x = der_inner_element(d)
-    out = bdt_add(bdt_mul(x, a), bdt_scale(-1, bdt_mul(a, x)))
+    """gamma d_K(a) + [x, a], exactly."""
+    out = bdt_add(bdt_mul(d.x, a), bdt_scale(-1, bdt_mul(a, d.x)))
     if not d.gamma.is_zero():
         out = bdt_add(out, bdt_scale(d.gamma, bdt_dK(a)))
     return out
@@ -101,25 +91,22 @@ def der_leibniz_residual(d: DerivationSpec, a1: BdtElement, a2: BdtElement, N: i
 def der_component(d: DerivationSpec, n: int) -> DerivationSpec:
     """Structural n-th Fourier component: gamma d_K survives only at n = 0 and
     the inner part picks up the n-th component of its implementing element."""
-    x_n = bdt_fourier(der_inner_element(d), n)
-    return DerivationSpec(
-        d.gamma if n == 0 else Scalar.from_int(0), x_n.symbol, x_n.compact
-    )
+    return DerivationSpec(d.gamma if n == 0 else Scalar.from_int(0), bdt_fourier(d.x, n))
 
 
 def der_component_bound(d: DerivationSpec) -> int:
     """Smallest B with all components of d supported in [-B, B]."""
-    return bdt_component_range(der_inner_element(d))
+    return bdt_component_range(d.x)
 
 
 def der_covariant_data(d: DerivationSpec, n: int) -> CovariantComponent:
     """The beta sequence of the n-th component of a compact-range derivation:
     the component is [U^n beta(K), .] (n >= 0) or [beta(K) (U^*)^{-n}, .]."""
     comp = der_component(d, n)
-    if not comp.gamma.is_zero() or not comp.symbol_part.is_zero():
+    if not comp.gamma.is_zero() or not comp.x.symbol.is_zero():
         raise UnsupportedDerivationError("component is not compact-range")
     beta: dict[int, Scalar] = {}
-    for (k, s), v in comp.compact_part.entries.items():
+    for (k, s), v in comp.x.compact.entries.items():
         beta[min(k, s)] = v
     return CovariantComponent(n, beta)
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .arith import INF, Supernatural
 from .bd import BdElement, bd_element
-from .bdt import BdtElement
+from .bdt import BdtElement, bdt
 from .calculus import CertifiedElement
 from .compact import CompactMatrix
 from .derivations import DerivationSpec
@@ -165,14 +165,14 @@ def decode_bdt(obj) -> BdtElement:
 def encode_derivation(d: DerivationSpec) -> dict:
     return {
         "gamma": encode_scalar(d.gamma),
-        "b": encode_bd(d.symbol_part),
-        "c": encode_compact(d.compact_part),
+        "b": encode_bd(d.x.symbol),
+        "c": encode_compact(d.x.compact),
     }
 
 
 def decode_derivation(obj) -> DerivationSpec:
     return DerivationSpec(
-        decode_scalar(obj["gamma"]), decode_bd(obj["b"]), decode_compact(obj["c"])
+        decode_scalar(obj["gamma"]), bdt(decode_bd(obj["b"]), decode_compact(obj["c"]))
     )
 
 

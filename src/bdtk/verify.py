@@ -47,6 +47,7 @@ from .bd import (
     bd_v,
 )
 from .bdt import (
+    bdt,
     bdt_add,
     bdt_adjoint,
     bdt_equal,
@@ -510,10 +511,9 @@ def suite_inversion(seed: int = 7, cases: int = 50) -> VerifyReport:
         rep.add_leq(f"case-{i:03d}/neumann-agreement", dig, dn,
                     1e-8 + cert.residual_bound, 1e-10)
         if i % 2 == 0:
-            a = toeplitz(b) if w == 0 else toeplitz(bd_mul(bd_adjoint(b), b))
             small = cp.rand_compact(rng, nnz=rng.randint(1, 4), top=2)
-            a = bdt_add(a, bdt_from_compact(
-                S, k_scale(Fraction(1, 256), k_add(small, k_adjoint(small)))))
+            a = bdt(b if w == 0 else bd_mul(bd_adjoint(b), b),
+                    k_scale(Fraction(1, 256), k_add(small, k_adjoint(small))))
             try:
                 bcert = bdt_invert(a, 1e-6, [64, 128, 256])
                 rep.add_leq(f"case-{i:03d}/bdt-residual", dig,
@@ -545,7 +545,7 @@ def suite_derivations(seed: int = 7, cases: int = 100) -> VerifyReport:
     for i in range(30):
         d = cp.rand_derivation(rng, S, n_bands=rng.randint(1, 2))
         a = cp.rand_bdt(rng, S, n_bands=rng.randint(1, 2))
-        dig = _digest(encode_compact(d.compact_part), encode_bd(d.symbol_part))
+        dig = _digest(encode_compact(d.x.compact), encode_bd(d.x.symbol))
         B = der_component_bound(d)
         total = None
         for n in range(-B, B + 1):
@@ -561,7 +561,7 @@ def suite_derivations(seed: int = 7, cases: int = 100) -> VerifyReport:
         lhs = tau(der_apply(d, a))
         rhs = bd_add(
             bd_scale(d.gamma, bd_delta_L(tau(a))),
-            bd_sub(bd_mul(d.symbol_part, tau(a)), bd_mul(tau(a), d.symbol_part)),
+            bd_sub(bd_mul(d.x.symbol, tau(a)), bd_mul(tau(a), d.x.symbol)),
         )
         rep.add_exact(f"case-{i:03d}/quotient-consistency", dig, bd_equal(lhs, rhs))
         # ideal preservation
@@ -636,11 +636,10 @@ def suite_index(seed: int = 7, cases: int = 50) -> VerifyReport:
                       prod_idx == idx_cache[j1] + idx_cache[j2])
     for i in range(12):
         j = rng.randrange(len(pool))
-        a = toeplitz(pool[j][0])
         c = cp.rand_compact(rng, nnz=rng.randint(1, 5), top=4)
         dig = _digest(encode_bd(pool[j][0]), encode_compact(c))
         try:
-            pert = fredholm_index(bdt_add(a, bdt_from_compact(S, k_scale(Fraction(1, 16), c))),
+            pert = fredholm_index(bdt(pool[j][0], k_scale(Fraction(1, 16), c)),
                                   schedule=(64, 128, 256)).index
             ok = pert == idx_cache[j]
         except BdtkError:

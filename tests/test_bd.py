@@ -205,6 +205,23 @@ def test_truncation_below_norm_and_monotone(S23, rng):
         assert vals[-1] <= nrm + 1e-6
 
 
+def test_truncation_matches_dense_window_at_small_sizes(S23, rng):
+    # the banded Gram solver serves windows no wider than the band span too
+    for _ in range(40):
+        b = cp.rand_bd(rng, S23)
+        for N in range(1, 2 * b.bandwidth + 3):
+            window = range(-(N // 2), N - N // 2)
+            A = bd_apply(b, window).to_numpy(window, window)
+            dense = float(np.linalg.svd(A, compute_uv=False)[0])
+            assert abs(bd_truncation_smax(b, N) - dense) <= 1e-12 * dense
+
+
+def test_p_norm_out_of_double_range(S23):
+    # binom(1100, 550) has no double value
+    with pytest.raises(ValueError, match="overflows double precision"):
+        bd_p_norm(bd_add(bd_scale(3, bd_one(S23)), bd_v(S23, 1)), 1100, 1e-9)
+
+
 def test_relation_as_matrices(S23, rng):
     S = S23
     for _ in range(20):

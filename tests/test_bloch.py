@@ -73,6 +73,25 @@ def test_level_crossings_found_below_the_sup():
     assert bd_norm(x, 1e-10) >= lower - 1e-10
 
 
+# b1 of case-085 in the seed-7 norm-axioms corpus: bands -2, 1 and 4, period 6
+_CASE_085_B1 = {"S": [[2, "inf"], [3, 1]], "bands": [
+    [-2, {"period": 1, "values": [[-1, 10, -7, 6]]}],
+    [1, {"period": 6, "values": [[-10, 9, -1, 4], [1, 3, 1, 6], [-2, 3, -7, 10],
+                                 [-2, 5, -13, 16], [-9, 11, -2, 5], [2, 3, 3, 2]]}],
+    [4, {"period": 2, "values": [[-1, 1, 16, 9], [10, 13, 1, 2]]}],
+]}
+
+
+@pytest.mark.parametrize("j,tol", [(3, 6.25e-11), (4, 3.125e-11), (5, 1.5625e-11)])
+def test_crossings_placed_off_the_circle_are_evaluated(j, tol):
+    # At the first level np.roots places the two crossings of delta_L^3 b1
+    # about 6e-7 off the circle (1e-4 to 1e-3 for delta_L^5).  Read as "no
+    # root on the circle", that level certified a norm 3.6e-4 below the sup.
+    x = bd_delta_L_power(decode_bd(_CASE_085_B1), j)
+    grid_max = float(np.max(_dense_smax(bd_symbol(x), 2 ** 14)))
+    assert bd_norm(x, tol) >= grid_max - tol
+
+
 def test_sup_smax_within_dense_grid_bounds(S23, rng):
     for _ in range(12):
         sym = bd_symbol(cp.rand_bd(rng, S23, n_bands=rng.randint(1, 3)))

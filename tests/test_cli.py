@@ -287,6 +287,37 @@ def test_decode_cap_exit_code(tmp_path, capsys, payload):
 
 
 @pytest.mark.parametrize("argv", [
+    ["invert", "v", "--max-band", str(ser.MAX_BAND + 1)],
+    ["exp", "h", "--max-band", str(ser.MAX_BAND + 1)],
+    ["invert", "u", "--sizes", f"64,{ser.MAX_INDEX + 1}"],
+    ["index", "u", "--schedule", f"64,128,256,{ser.MAX_INDEX + 1}"],
+    ["derivation", "reconstruct", "der", "--band-limit", str(ser.MAX_BAND + 1)],
+], ids=["invert-max-band", "exp-max-band", "invert-sizes", "index-schedule",
+        "reconstruct-band-limit"])
+def test_size_option_cap_exit_code(tmp_path, capsys, argv):
+    # each command would finish at the cap + 1 on these inputs; the caps
+    # bound what larger values would cost
+    payloads = {"v": ser.encode_bd(bd_v(_S23, 1)), "h": ser.encode_bd(_H),
+                "u": ser.encode_bdt(toeplitz(_B)),
+                "der": ser.encode_derivation(derivation(_S23, 0, None, k_units(0, 1)))}
+    argv = [_write(tmp_path, f"{a}.json", payloads[a]) if a in payloads else a for a in argv]
+    assert cli_dispatch(argv) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "BAD_INPUT" and "exceeds the cap" in err["detail"]
+
+
+@pytest.mark.parametrize("argv,payload", [
+    (["norm", "{p}", "--P", "1100"], ser.encode_bd(bd_add(bd_scalar(_S23, 3), bd_v(_S23, 1)))),
+    (["norm", "{p}", "--M", "3000"], ser.encode_compact(k_add(k_units(0, 1), k_units(2, 0)))),
+], ids=["p-norm", "mn-norm"])
+def test_norm_overflow_exit_code(tmp_path, capsys, argv, payload):
+    path = _write(tmp_path, "x.json", payload)
+    assert cli_dispatch([a.format(p=path) for a in argv]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "BAD_INPUT" and "overflows double precision" in err["detail"]
+
+
+@pytest.mark.parametrize("argv", [
     ["mul", "bd", "bdt"],
     ["mul", "bdt", "bd"],
     ["adjoint", "compact"],

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from bdtk import corpus as cp
 from bdtk.compact import (
     CompactMatrix,
@@ -72,6 +74,14 @@ def test_mn_norm_recursion(rng):
                 lhs = k_mn_norm(c, M + 1, N)
                 rhs = k_mn_norm(c, M, N) + k_mn_norm(k_dK(c), M, N)
                 assert abs(lhs - rhs) <= 1e-9 * (1 + lhs)
+
+
+@pytest.mark.parametrize("M,N", [(3000, 0), (0, 3000), (1000, 100)])
+def test_mn_norm_out_of_double_range(M, N):
+    # binom(3000, 1500) and 2^3000 have no double value, and at (1000, 100)
+    # the term binom(1000, 500) 2^100 is past the largest one
+    with pytest.raises(ValueError, match="overflows double precision"):
+        k_mn_norm(k_units(2, 1), M, N)
 
 
 def test_rho_examples():

@@ -56,7 +56,7 @@ def test_component_examples(S23):
     f = ulc([1, Fraction(1, 2)])
     d = derivation(S, 0, bd_element(S, {1: f}), None)
     comp = der_component(d, 1)
-    assert bd_equal(comp.symbol_part, bd_element(S, {1: f}))
+    assert bd_equal(comp.x.symbol, bd_element(S, {1: f}))
     assert der_apply(der_component(d, 2), bdt_u(S, 1)).is_zero()
 
 
@@ -172,6 +172,6 @@ def test_ideal_preservation_and_quotient(S23, rng):
         lhs = tau(der_apply(d, a))
         rhs = bd_add(
             bd_scale(d.gamma, bd_delta_L(tau(a))),
-            bd_sub(bd_mul(d.symbol_part, tau(a)), bd_mul(tau(a), d.symbol_part)),
+            bd_sub(bd_mul(d.x.symbol, tau(a)), bd_mul(tau(a), d.x.symbol)),
         )
         assert bd_equal(lhs, rhs)

@@ -59,8 +59,8 @@ def test_derivation_roundtrip(rng, S23):
     d = cp.rand_derivation(rng, S23)
     back = ser.decode_derivation(ser.encode_derivation(d))
     assert back.gamma == d.gamma
-    assert bd_equal(back.symbol_part, d.symbol_part)
-    assert back.compact_part.equal(d.compact_part)
+    assert bd_equal(back.x.symbol, d.x.symbol)
+    assert back.x.compact.equal(d.x.compact)
 
 
 def test_element_sniffing(rng, S23):
