@@ -8,9 +8,13 @@ the largest singular value over the circle.
 
 The sup is certified by the level-set iteration for the L-infinity norm
 (Boyd & Balakrishnan 1990; Bruinsma & Steinbuch 1990).  The maximum m over an
-equispaced grid is a lower bound attained at an evaluated angle.  At the
-level lambda = m + tol/2 the unimodular roots of det(lambda^2 I - B(z)^* B(z))
-are the angles where a singular-value sheet crosses the level.  Each computed
+equispaced seed grid is a lower bound attained at an evaluated angle.  The
+seed grid has G points, the least power of two >= 8(2W + 1) for the wrap
+degree W (32 at W = 1), at every period: it only seeds m, and only the level
+test certifies from above, so any G is sound and a coarser one costs at most
+a few more levels, each cheaper than G dense SVDs.  At the level
+lambda = m + tol/2 the unimodular roots of det(lambda^2 I - B(z)^* B(z)) are
+the angles where a singular-value sheet crosses the level.  Each computed
 root within CROSSING_DELTA = 1e-2 of the circle is a candidate angle, not a
 trusted crossing: sigma_max is evaluated there and at the midpoints of the
 arcs between candidates (a spurious cut only splits an arc).  The level is
@@ -226,13 +230,16 @@ def certified_sup_smax(sym: SymbolMatrix, tol: float) -> float:
 
     Returns r with |r - sup| <= tol, by the level-set iteration for the
     L-infinity norm (Boyd & Balakrishnan 1990; Bruinsma & Steinbuch 1990).
-    m starts as the maximum over an equispaced grid and is always a value of
-    sigma_max at an evaluated angle, hence a lower bound.  At the level
-    lam = m + tol/2 the unimodular roots of det(lam^2 I - B^* B) are exactly
-    the angles where some singular value equals lam.  The computed roots
-    within CROSSING_DELTA of the circle include them and cut the circle into
-    arcs on which sigma_max - lam keeps one sign; sigma_max is evaluated at
-    the cuts and at the arc midpoints.  Two exits certify sup <= lam and
+    m starts as the maximum over an equispaced seed grid and is always a
+    value of sigma_max at an evaluated angle, hence a lower bound.  The seed
+    grid has the least power of two >= 8(2W + 1) points for the wrap degree
+    W, whatever the period; its size moves no bound, since m only ever rises
+    to evaluated values and the level test alone certifies from above.  At
+    the level lam = m + tol/2 the unimodular roots of det(lam^2 I - B^* B)
+    are exactly the angles where some singular value equals lam.  The
+    computed roots within CROSSING_DELTA of the circle include them and cut
+    the circle into arcs on which sigma_max - lam keeps one sign; sigma_max
+    is evaluated at the cuts and at the arc midpoints.  Two exits certify sup <= lam and
     return m + tol/4:
 
     - no root lies within CROSSING_DELTA of the circle, so sigma_max < lam;
@@ -251,7 +258,7 @@ def certified_sup_smax(sym: SymbolMatrix, tol: float) -> float:
         H = _gram_coeffs(sym)
     if not all(np.isfinite(A).all() for A in H.values()):
         raise ValueError("symbol out of range: B^* B overflows double precision")
-    G = grid_size(256, 8 * (2 * W + 1))
+    G = grid_size(8, 8 * (2 * W + 1))
     m = float(np.max(_smax_batch(sym.at_many(np.arange(G) / G))))
     for _ in range(64):
         lam = m + 0.5 * tol

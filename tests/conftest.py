@@ -1,3 +1,9 @@
+import os
+
+# one BLAS thread, as perfbench/run.py sets, before anything imports numpy
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import random
 
 import pytest

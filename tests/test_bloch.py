@@ -92,6 +92,18 @@ def test_crossings_placed_off_the_circle_are_evaluated(j, tol):
     assert bd_norm(x, tol) >= grid_max - tol
 
 
+@pytest.mark.parametrize("tol", [1e-9, 1e-12])
+def test_sup_off_every_seed_grid(S2, tol):
+    # b = 1 + (z V + conj(z) V^*) / 2 with z = e^{2 pi i / 512}: its symbol
+    # 1 + cos(2 pi (theta + 1/512)) has sup exactly 2, attained at 511/512,
+    # which neither a 32- nor a 256-point grid contains
+    z = Scalar.root_of_unity(1, 512)
+    half = Scalar.from_fraction(Fraction(1, 2))
+    b = bd_element(S2, {0: ulc([Scalar.from_int(1)]), 1: ulc([z * half]),
+                        -1: ulc([z.conj() * half])})
+    assert abs(bd_norm(b, tol) - 2.0) <= tol
+
+
 def test_sup_smax_within_dense_grid_bounds(S23, rng):
     for _ in range(12):
         sym = bd_symbol(cp.rand_bd(rng, S23, n_bands=rng.randint(1, 3)))

@@ -1,7 +1,10 @@
 import json
 import os
+import random
+import resource
 import subprocess
 import sys
+import time
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -365,6 +368,31 @@ def test_module_entry_point():
                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert run.returncode == 0, run.stderr
     assert json.loads(run.stdout) == {"member": True}
+
+
+def test_norm_at_period_512_within_1_gib(tmp_path):
+    # bands -1, 0 and 1 at period 512, band 0 of modulus about 40.  A 256-point
+    # seed grid of 512 x 512 complex matrices alone is 1 GiB.
+    rng = random.Random(512)
+
+    def band(lo, hi):
+        return {"period": 512, "values": [[rng.choice([1, -1]) * rng.randint(lo, hi), 1,
+                                           rng.randint(-4, 4), 1] for _ in range(512)]}
+
+    path = _write(tmp_path, "b.json", {"S": [[2, "inf"]], "bands": [
+        [0, band(36, 44)], [1, band(0, 3)], [-1, band(0, 3)]]})
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+    src = str(Path(bdtk.__file__).resolve().parents[1])
+    argv = [sys.executable, "-m", "bdtk.cli", "norm", path, "--tol", "1e-6"]
+    start = time.perf_counter()
+    run = subprocess.run(argv, capture_output=True, text=True, preexec_fn=limit_address_space,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    elapsed = time.perf_counter() - start
+    assert run.returncode == 0, run.stderr
+    assert elapsed < 30.0
 
 
 _JSON_KEYS = ("S", "bands", "period", "values", "float", "order", "terms", "symbol", "compact",
