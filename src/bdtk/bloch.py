@@ -190,7 +190,7 @@ def _circle_roots(p: np.ndarray, delta: float) -> tuple[list[float], int]:
     return angles, int(np.count_nonzero(radii < 1.0 - delta))
 
 
-def circle_root_angles(poly_lo2hi: np.ndarray, noise: float = 0.0) -> list[float] | None:
+def circle_root_angles(poly_lo2hi: np.ndarray, noise: float) -> list[float] | None:
     """Angles (in turns) of every polynomial root within CROSSING_DELTA of the
     unit circle (an empty list: there is none), or None when every
     coefficient is round-off.

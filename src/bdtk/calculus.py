@@ -76,12 +76,11 @@ def _expi(H: np.ndarray) -> np.ndarray:
     return V @ Vh
 
 
-def _grid_candidate(S: Supernatural, sym: bloch.SymbolMatrix, G: int, pointwise,
-                    max_band: int, drop: float) -> tuple[BdElement, float]:
-    """Apply pointwise (np.linalg.inv or _expi) to sym at G equispaced angles
-    and read the bands |n| <= max_band back, dropping those whose sup norm is
-    at most drop; returns the element and the dropped sup-norm mass."""
-    samples = pointwise(sym.at_many(np.arange(G) / G))
+def _grid_candidate(S: Supernatural, samples: np.ndarray, max_band: int,
+                    drop: float) -> tuple[BdElement, float]:
+    """Read the bands |n| <= max_band back from a (G, l, l) stack of samples at
+    G equispaced angles, dropping those whose sup norm is at most drop;
+    returns the element and the dropped sup-norm mass."""
     kept: dict[int, object] = {}
     dropped = 0.0
     for n, vals in bloch.symbol_samples_to_bands(samples, max_band).items():
@@ -130,26 +129,19 @@ def bd_invert(b: BdElement, tol: float, max_band: int) -> CertifiedElement:
     sym = bd_symbol(b)
     bloch.det_winding(sym)  # certifies invertibility; the count is not needed
     G = bloch.grid_size(256, 8 * (max_band // b.period + 2))
-    last = None
-    drop = tol / (4.0 * max_band)
-    for _ in range(4):
-        cand, _ = _grid_candidate(b.S, sym, G, np.linalg.inv, max_band, drop)
-        nrm = _norm_bound(cand, 1e-8)
-        # the certificate floor is ||cand|| * (defect-norm tolerance), so the
-        # tolerance must shrink with the candidate's size
-        norm_tol = max(min(tol, 1e-9) / (8.0 * max(1.0, nrm)), 1e-15)
-        defect = bd_sub(bd_mul(b, cand), bd_one(b.S))
-        r = _norm_bound(defect, norm_tol)
-        if r < 1.0:
-            bound = nrm * r / (1.0 - r)
-            if bound <= tol:
-                return CertifiedElement(cand, bound, "bloch-symbol-inverse")
-            last = bound
-        G *= 2
-        drop /= 8.0
-    raise ToleranceUnreachableError(
-        f"residual bound {last} above tol {tol} at max_band {max_band}"
-    )
+    samples = np.linalg.inv(sym.at_many(np.arange(G) / G))
+    cand, _ = _grid_candidate(b.S, samples, max_band, tol / (4.0 * max_band))
+    nrm = _norm_bound(cand, 1e-8)
+    # the certificate floor is ||cand|| * (defect-norm tolerance), so the
+    # tolerance must shrink with the candidate's size
+    norm_tol = max(min(tol, 1e-9) / (8.0 * max(1.0, nrm)), 1e-15)
+    r = _norm_bound(bd_sub(bd_mul(b, cand), bd_one(b.S)), norm_tol)
+    bound = nrm * r / (1.0 - r) if r < 1.0 else math.inf
+    if bound > tol:
+        raise ToleranceUnreachableError(
+            f"residual bound {bound} (defect norm {r}) above tol {tol} at max_band {max_band}"
+        )
+    return CertifiedElement(cand, bound, "bloch-symbol-inverse")
 
 
 def bdt_invert(a: BdtElement, tol: float, sizes) -> CertifiedElement:
@@ -221,10 +213,13 @@ def exp_band_reach(b: BdElement) -> int:
     """Band index beyond which the exponential's coefficients are negligible.
 
     The Laurent coefficients of e^{iB(z)} decay like (e C W / n)^{n/W} with
-    W the bandwidth and C the total coefficient mass, so reach ~ W(eC + 40)."""
+    W the bandwidth and C the total coefficient mass, so reach ~ W(eC + 40).
+    A mass past double range raises ValueError."""
     C = sum(ulc_sup_norm(f) for f in b.bands.values())
-    W = max(b.bandwidth, 1)
-    return int(W * (math.e * C + 40.0)) + 8
+    reach = max(b.bandwidth, 1) * (math.e * C + 40.0)
+    if not math.isfinite(reach):
+        raise ValueError(f"coefficient mass {C} overflows the band reach")
+    return int(reach) + 8
 
 
 def bd_exp(b: BdElement, tol: float, max_band: int) -> CertifiedElement:
@@ -232,8 +227,8 @@ def bd_exp(b: BdElement, tol: float, max_band: int) -> CertifiedElement:
 
     The Hermitian symbol is exponentiated pointwise by eigendecomposition on a
     roots-of-unity grid; bands are read off by inverse DFT and truncated.  The
-    residual estimate compares grids of doubled resolution and adds the
-    dropped band tail."""
+    residual estimate compares the bands read from G and 2G angles and adds
+    the dropped band tail."""
     bloch.check_tol(tol)
     if max_band < 1:
         raise ValueError("max_band must be positive")
@@ -246,26 +241,25 @@ def bd_exp(b: BdElement, tol: float, max_band: int) -> CertifiedElement:
     G = bloch.grid_size(256, 8 * (max_band // l + 2))
     drop = tol / (4.0 * max_band + 4.0)
     norm_tol = max(tol / 16.0, 1e-14)
-    cand, dropped = _grid_candidate(S, sym, G, _expi, max_band, drop)
-    for _ in range(3):
-        cand2, dropped2 = _grid_candidate(S, sym, 2 * G, _expi, max_band, drop)
-        diff = bd_sub(cand, cand2)
-        diff_norm = _norm_bound(diff, norm_tol)
-        residual = 3.0 * diff_norm + 2.0 * (dropped + dropped2) + 1e-13
-        # mass still present in the outermost band shell means the cutoff is
-        # active and the uncomputed tail cannot be ignored
-        if cand2.bands:
-            W = max(b.bandwidth, 1)
-            maxn = max(abs(n) for n in cand2.bands)
-            if maxn >= max_band - W:
-                shell = sum(
-                    ulc_sup_norm(f) for n, f in cand2.bands.items() if abs(n) > maxn - W
-                )
-                residual += 4.0 * shell
-        if residual <= tol:
-            return CertifiedElement(cand2, residual, "bloch-grid-exp")
-        cand, dropped, G = cand2, dropped2, 2 * G
-    raise ToleranceUnreachableError(f"exp residual estimate {residual} above tol {tol}")
+    # (2k)/(2G) is the same double as k/G: the even samples are the G-point grid
+    fine = _expi(sym.at_many(np.arange(2 * G) / (2 * G)))
+    cand, dropped = _grid_candidate(S, fine[::2], max_band, drop)
+    cand2, dropped2 = _grid_candidate(S, fine, max_band, drop)
+    diff_norm = _norm_bound(bd_sub(cand, cand2), norm_tol)
+    residual = 3.0 * diff_norm + 2.0 * (dropped + dropped2) + 1e-13
+    # mass still present in the outermost band shell means the cutoff is
+    # active and the uncomputed tail cannot be ignored
+    if cand2.bands:
+        W = max(b.bandwidth, 1)
+        maxn = max(abs(n) for n in cand2.bands)
+        if maxn >= max_band - W:
+            shell = sum(
+                ulc_sup_norm(f) for n, f in cand2.bands.items() if abs(n) > maxn - W
+            )
+            residual += 4.0 * shell
+    if residual > tol:
+        raise ToleranceUnreachableError(f"exp residual estimate {residual} above tol {tol}")
+    return CertifiedElement(cand2, residual, "bloch-grid-exp")
 
 
 def k_exp(c: CompactMatrix, S: Supernatural | None = None) -> BdtElement:

@@ -25,7 +25,7 @@ from .bdt import (
     tau,
     toeplitz,
 )
-from .calculus import bd_exp, bd_invert, bdt_invert, k_exp, smooth_calc
+from .calculus import bd_exp, bd_invert, bdt_invert, exp_band_reach, k_exp, smooth_calc
 from .compact import CompactMatrix, k_mn_norm
 from .derivations import der_apply, der_as_callable, der_component, der_reconstruct
 from .errors import BdtkError
@@ -120,7 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("exp", help="certified e^{i a} for self-adjoint input")
     sp.add_argument("a")
     sp.add_argument("--tol", type=float, default=1e-9)
-    sp.add_argument("--max-band", type=int, default=48)
+    sp.add_argument("--max-band", type=int,
+                    help="band budget (default: exp_band_reach of the input, at most 1024)")
     sp.add_argument("--S", default="2:inf", help="ambient S for compact input")
 
     sp = sub.add_parser("calc", help="smooth functional calculus from Fourier coefficients")
@@ -215,7 +216,11 @@ def _dispatch(args) -> int:
     if cmd == "exp":
         a = _load_element(args.a, BdElement, CompactMatrix)
         if isinstance(a, BdElement):
-            ce = bd_exp(a, args.tol, ser._capped("--max-band", args.max_band, ser.MAX_BAND))
+            if args.max_band is None:
+                max_band = min(exp_band_reach(a), ser.MAX_BAND)
+            else:
+                max_band = ser._capped("--max-band", args.max_band, ser.MAX_BAND)
+            ce = bd_exp(a, args.tol, max_band)
             _emit(ser.encode_certified(ce), args)
         else:
             out = k_exp(a, parse_supernatural(args.S))

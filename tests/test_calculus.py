@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from bdtk import bloch
+from bdtk import bloch, calculus
 from bdtk import corpus as cp
 from bdtk.bd import (
     bd_add,
@@ -263,23 +263,49 @@ def test_check_exp_bound_sweeps(S23, rng):
         assert check_exp_bound_c(c, rng.randint(0, 3)).passed
 
 
-def test_bd_exp_builds_each_grid_once(monkeypatch):
-    # a case that runs all three rounds: each round's finer grid is the next
-    # round's base, so the grids built are distinct
+def _spy(monkeypatch, module, name):
+    """Record the calls of module.name (their positional arguments)."""
+    real = getattr(module, name)
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_bd_invert_builds_one_candidate(S23, monkeypatch):
+    # max_band 24 truncates the Neumann series of (2 + V)^{-1} at 2^-25, above
+    # tol: the one candidate is certified and the call raises
+    calls = _spy(monkeypatch, calculus, "_grid_candidate")
+    with pytest.raises(ToleranceUnreachableError):
+        bd_invert(bd_add(bd_scalar(S23, 2), bd_v(S23, 1)), 1e-8, 24)
+    assert len(calls) == 1
+
+
+def test_bdt_invert_widens_the_symbol_inverse(S23, monkeypatch):
+    # the first band budgets of T(2 + V) fall short: bdt_invert doubles
+    # max_band until bd_invert certifies
+    calls = _spy(monkeypatch, calculus, "bd_invert")
+    cert = bdt_invert(toeplitz(bd_add(bd_scalar(S23, 2), bd_v(S23, 1))), 1e-8, [64, 128, 256])
+    assert cert.residual_bound <= 1e-8
+    assert [args[2] for args in calls] == [12, 24, 48]
+
+
+def test_bd_exp_builds_one_grid(monkeypatch):
+    # a failing call exponentiates the symbol once, at 2G angles, and reads
+    # the bands back from the G-point and the 2G-point grid
     rng = random.Random(3)
     b = cp.rand_selfadjoint_bd(rng, cp.DEFAULT_S, n_bands=rng.randint(1, 3), top=8)
-    read_bands = bloch.symbol_samples_to_bands
-    built = []
-
-    def spy(samples, max_band):
-        built.append(samples.shape[0])
-        return read_bands(samples, max_band)
-
-    monkeypatch.setattr(bloch, "symbol_samples_to_bands", spy)
+    expi = _spy(monkeypatch, calculus, "_expi")
+    read = _spy(monkeypatch, bloch, "symbol_samples_to_bands")
     with pytest.raises(ToleranceUnreachableError):
         bd_exp(b, 1e-10, 24)
-    assert len(built) >= 4
-    assert len(built) == len(set(built)), built
+    G = bloch.grid_size(256, 8 * (24 // b.period + 2))
+    assert [H.shape[0] for H, in expi] == [2 * G]
+    assert [samples.shape[0] for samples, _ in read] == [G, 2 * G]
 
 
 @pytest.mark.parametrize("sizes", [[0], [64, 0]])

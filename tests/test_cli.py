@@ -18,7 +18,7 @@ from bdtk import serialize as ser
 from bdtk.arith import Supernatural, INF
 from bdtk.bd import bd_add, bd_one, bd_scalar, bd_scale, bd_sub, bd_v
 from bdtk.bdt import bdt_u, toeplitz
-from bdtk.calculus import bd_exp, bd_invert, bdt_invert, k_exp, smooth_calc
+from bdtk.calculus import bd_exp, bd_invert, bdt_invert, exp_band_reach, k_exp, smooth_calc
 from bdtk.cli import cli_dispatch
 from bdtk.compact import k_add, k_units
 from bdtk.derivations import derivation
@@ -102,7 +102,7 @@ _CERTIFIED = {
     "invert-bdt": (["invert", "{a}", "--tol", "1e-8"], ser.encode_bdt(toeplitz(_B)),
                    lambda: bdt_invert(toeplitz(_B), 1e-8, [64, 128, 256])),
     "exp-bd": (["exp", "{a}", "--tol", "1e-9"], ser.encode_bd(_H),
-               lambda: bd_exp(_H, 1e-9, 48)),
+               lambda: bd_exp(_H, 1e-9, exp_band_reach(_H))),
     "calc": (["calc", "{a}", "--coeffs", "{coeffs}", "--L", "8", "--tol", "1e-6"],
              ser.encode_bdt(toeplitz(_H)),
              lambda: smooth_calc(toeplitz(_H), {1: 0.5, -1: 0.5}, 8.0, 1e-6)),
@@ -122,6 +122,35 @@ def test_certified_commands_match_library(tmp_path, capsys, case):
     assert out["residual_bound"] <= tol
     value = ser.decode_element(out["value"])
     assert ser.encode_element(value) == ser.encode_element(ce.value)
+
+
+def test_exp_band_budget_defaults_to_reach(tmp_path, capsys):
+    # 3 (V^4 + V^-4) needs bands past 48 at the default tol 1e-9: a fixed
+    # budget of 48 ends in TOLERANCE_UNREACHABLE, exp_band_reach (233) certifies
+    b = bd_scale(3, bd_add(bd_v(_S23, 4), bd_v(_S23, -4)))
+    assert exp_band_reach(b) == 233
+    path = _write(tmp_path, "b.json", ser.encode_bd(b))
+    assert cli_dispatch(["exp", path]) == 0
+    out = json.loads(capsys.readouterr().out)
+    ce = bd_exp(b, 1e-9, 233)
+    assert out["residual_bound"] == ce.residual_bound <= 1e-9
+    assert ser.encode_element(ser.decode_element(out["value"])) == ser.encode_element(ce.value)
+    assert cli_dispatch(["exp", path, "--max-band", "48"]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "TOLERANCE_UNREACHABLE"
+
+
+@pytest.mark.parametrize("argv", [["exp", "{b}"], ["calc", "{a}", "--coeffs", "{coeffs}", "--L", "8"]],
+                         ids=["exp", "calc"])
+def test_band_reach_overflow_exit_code(tmp_path, capsys, argv):
+    # the scalar 1e308 is self-adjoint and finite, but the coefficient mass
+    # e C that sizes the band reach leaves double range
+    b = ser.decode_bd({"S": _S23_JSON, "bands": [[0, {"period": 1, "values": [[1e308, 0]]}]]})
+    paths = {"b": _write(tmp_path, "b.json", ser.encode_bd(b)),
+             "a": _write(tmp_path, "a.json", ser.encode_bdt(toeplitz(b))),
+             "coeffs": _write(tmp_path, "coeffs.json", {"1": [0.5, 0.0]})}
+    assert cli_dispatch([arg.format(**paths) for arg in argv]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "BAD_INPUT" and "band reach" in err["detail"]
 
 
 def test_exp_of_compact_matches_library(tmp_path, capsys):
