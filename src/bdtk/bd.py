@@ -25,7 +25,6 @@ from .ulc import (
     ulc_equal,
     ulc_eval,
     ulc_mul,
-    ulc_refine,
     ulc_scale,
     ulc_shift,
     ulc_sup_norm,
@@ -186,14 +185,17 @@ def bd_apply(b: BdElement, window: range) -> ScalarMatrix:
     return ScalarMatrix(ent)
 
 
+def bd_band_values(b: BdElement, positions: np.ndarray) -> dict[int, np.ndarray]:
+    """Band n -> the complex values f_n(k) at the integer positions k
+    (Euclidean remainder); the one place where band Scalars become arrays."""
+    return {n: np.array([v.to_complex() for v in f.values])[positions % f.period]
+            for n, f in b.bands.items()}
+
+
 def bd_symbol(b: BdElement) -> bloch.SymbolMatrix:
     """The l x l Bloch symbol B(z) = sum_n W(z)^n F_n of the element."""
     l = b.period
-    band_values = {
-        n: np.array([v.to_complex() for v in ulc_refine(f, l)])
-        for n, f in b.bands.items()
-    }
-    return bloch.symbol_from_bands(l, band_values)
+    return bloch.symbol_from_bands(l, bd_band_values(b, np.arange(l)))
 
 
 def bd_norm(b: BdElement, tol: float) -> float:
@@ -238,11 +240,7 @@ def bd_truncation_smax(b: BdElement, N: int) -> float:
     # the 0.2 s of `import bdtk`, which every CLI call would pay
     import scipy.linalg as sla
 
-    cols = {}
-    idx = np.arange(N) - N // 2
-    for n, f in b.bands.items():
-        pattern = np.array([v.to_complex() for v in f.values])
-        cols[n] = pattern[idx % f.period]
+    cols = bd_band_values(b, np.arange(N) - N // 2)
     u = 2 * b.bandwidth
     band = np.zeros((u + 1, N), dtype=complex)
     for n1, a1 in cols.items():

@@ -21,6 +21,7 @@ from .bd import (
     bd_add,
     bd_adjoint,
     bd_apply,
+    bd_band_values,
     bd_delta_L,
     bd_element,
     bd_equal,
@@ -164,16 +165,19 @@ def compact_times_toeplitz(c: CompactMatrix, b: BdElement) -> CompactMatrix:
     return CompactMatrix(ent)
 
 
-def bdt_mul(a1: BdtElement, a2: BdtElement) -> BdtElement:
-    """Exact product in canonical form."""
+def bdt_mul_compact(a1: BdtElement, a2: BdtElement) -> CompactMatrix:
+    """The compact part of the product a1 a2, exact."""
     b1, c1 = a1.symbol, a1.compact
     b2, c2 = a2.symbol, a2.compact
-    sym = bd_mul(b1, b2)
     comp = correction(b1, b2)
     comp = k_add(comp, toeplitz_times_compact(b1, c2))
     comp = k_add(comp, compact_times_toeplitz(c1, b2))
-    comp = k_add(comp, k_mul(c1, c2))
-    return BdtElement(sym, comp)
+    return k_add(comp, k_mul(c1, c2))
+
+
+def bdt_mul(a1: BdtElement, a2: BdtElement) -> BdtElement:
+    """Exact product in canonical form."""
+    return BdtElement(bd_mul(a1.symbol, a2.symbol), bdt_mul_compact(a1, a2))
 
 
 def bdt_dK(a: BdtElement) -> BdtElement:
@@ -204,16 +208,14 @@ def bdt_truncate(a: BdtElement, N: int) -> ScalarMatrix:
     return bd_apply(a.symbol, window).add(a.compact.restrict(window, window))
 
 
-def bdt_window_numpy(a: BdtElement, rows: int, cols: int) -> np.ndarray:
-    """Rectangular corner [0, rows) x [0, cols) as a dense complex matrix."""
-    out = np.zeros((rows, cols), dtype=complex)
-    for n, f in a.symbol.bands.items():
-        for s in range(max(0, -n), cols):
-            k = s + n
-            if 0 <= k < rows:
-                out[k, s] += ulc_eval(f, s).to_complex()
+def bdt_window_numpy(a: BdtElement, N: int) -> np.ndarray:
+    """The N x N corner as a dense complex matrix."""
+    out = np.zeros((N, N), dtype=complex)
+    for n, vals in bd_band_values(a.symbol, np.arange(N)).items():
+        s = np.arange(max(0, -n), min(N, N - n))
+        out[s + n, s] += vals[s]
     for (k, s), v in a.compact.entries.items():
-        if k < rows and s < cols:
+        if k < N and s < N:
             out[k, s] += v.to_complex()
     return out
 

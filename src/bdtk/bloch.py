@@ -20,13 +20,15 @@ trusted crossing: sigma_max is evaluated there and at the midpoints of the
 arcs between candidates (a spurious cut only splits an arc).  The level is
 certified from above when no root lies that near the circle, or when no
 midpoint exceeds it; otherwise m rises to the largest evaluated value and the
-next level is tried.  One root census (_circle_roots), the companion-matrix
-roots in floating point at every degree, serves both polynomials.  Each
-determinant is a Laurent polynomial whose powers lie in the band span [a, b]
-of its matrix (_band_span), so the census works on z^(-a) det, of degree
-b - a, whatever the period.  For z^(-a) det B(z) the census certifies that B
-is invertible on the circle and counts the roots inside it, hence the winding
-number of det B and the Fredholm index of T(b) (det_winding).
+next level is tried.  One root census (circle_root_angles), the
+companion-matrix roots in floating point at every degree, serves both
+polynomials, each with its own window (CROSSING_DELTA, INVERTIBILITY_DELTA).
+Each determinant is a Laurent polynomial whose powers lie in the band span
+[a, b] of its matrix (_band_span), so the census works on z^(-a) det, of
+degree b - a, whatever the period.  For z^(-a) det B(z) the census
+certifies that B is invertible on the circle and counts the roots inside it,
+hence the winding number of det B and the Fredholm index of T(b)
+(det_winding).
 """
 
 from __future__ import annotations
@@ -54,9 +56,6 @@ class SymbolMatrix:
 
     def wrap_degree(self) -> int:
         return max((abs(w) for w in self.coeffs), default=0)
-
-    def at(self, theta: float) -> np.ndarray:
-        return self.at_many(np.array([theta]))[0]
 
     def at_many(self, thetas: np.ndarray) -> np.ndarray:
         ws = np.array(sorted(self.coeffs), dtype=float)
@@ -161,47 +160,31 @@ def _laurent_det_poly(coeff_mats: dict[int, np.ndarray], l: int) -> tuple[np.nda
     return c[:b - a + 1], 8.0 * float(np.max(np.abs(c[b - a + 1:]))), a
 
 
-def _strip_noise(poly_lo2hi: np.ndarray, noise: float) -> tuple[np.ndarray, int] | None:
-    """The polynomial without the coefficients at or below the round-off level
-    noise at either end, and the number stripped from the low end (roots at
-    z = 0); those stripped from the high end are roots at infinity.  None when
-    every coefficient is round-off.
+def circle_root_angles(poly_lo2hi: np.ndarray, noise: float,
+                       delta: float) -> tuple[list[float], int] | None:
+    """The one root census of a polynomial (coefficients low to high): the
+    angles (in turns) of its roots within delta of the unit circle, and the
+    number of roots in |z| < 1 - delta; None when every coefficient is
+    round-off.
 
-    Coefficients are stripped one at a time from the ends only: a round-off
-    term left in the leading position would otherwise put roots near the
-    origin or near infinity and push the unimodular ones off the circle."""
+    noise is the absolute round-off level of the coefficients (0 for exact
+    ones).  Coefficients at or below it are stripped one at a time from the
+    ends only: a round-off term left in the leading position would otherwise
+    put roots near the origin or near infinity and push the unimodular ones
+    off the circle.  Those stripped from the low end are roots at z = 0 and
+    are counted inside; those stripped from the high end are roots at
+    infinity.  The rest come from the companion matrix."""
     p = np.asarray(poly_lo2hi, dtype=complex)
     keep = np.abs(p) > max(noise, 1e-300)
     if not keep.any():
         return None
     first = int(np.argmax(keep))
-    return p[first:len(p) - int(np.argmax(keep[::-1]))], first
-
-
-def _circle_roots(p: np.ndarray, delta: float) -> tuple[list[float], int]:
-    """Census of the roots of p (coefficients low to high, ends stripped of
-    round-off) from its companion-matrix roots: the angles (in turns) of the
-    roots within delta of the unit circle, and the number of roots inside
-    |z| < 1 - delta."""
+    p = p[first:len(p) - int(np.argmax(keep[::-1]))]
     roots = np.roots(p[::-1])
     radii = np.abs(roots)
     near = roots[np.abs(radii - 1.0) < delta]
     angles = sorted(set((float(a) / _TWO_PI) % 1.0 for a in np.angle(near)))
-    return angles, int(np.count_nonzero(radii < 1.0 - delta))
-
-
-def circle_root_angles(poly_lo2hi: np.ndarray, noise: float) -> list[float] | None:
-    """Angles (in turns) of every polynomial root within CROSSING_DELTA of the
-    unit circle (an empty list: there is none), or None when every
-    coefficient is round-off.
-
-    noise is the absolute round-off level of the coefficients (0 for exact
-    ones); coefficients at or below it are stripped from both ends
-    (_strip_noise)."""
-    stripped = _strip_noise(poly_lo2hi, noise)
-    if stripped is None:
-        return None
-    return _circle_roots(stripped[0], CROSSING_DELTA)[0]
+    return angles, first + int(np.count_nonzero(radii < 1.0 - delta))
 
 
 def _gram_coeffs(sym: SymbolMatrix) -> dict[int, np.ndarray]:
@@ -222,7 +205,8 @@ def _level_root_angles(sym: SymbolMatrix, lam: float, H: dict[int, np.ndarray]):
     shifted = {u: -A for u, A in H.items()}
     shifted[0] = lam * lam * np.eye(sym.period) - H[0]
     poly, noise, _ = _laurent_det_poly(shifted, sym.period)
-    return circle_root_angles(poly, noise=noise)
+    census = circle_root_angles(poly, noise, CROSSING_DELTA)
+    return None if census is None else census[0]
 
 
 def certified_sup_smax(sym: SymbolMatrix, tol: float) -> float:
@@ -278,21 +262,20 @@ def certified_sup_smax(sym: SymbolMatrix, tol: float) -> float:
 
 def det_winding(sym: SymbolMatrix) -> int:
     """Winding number of theta -> det B(e^{2 pi i theta}) around 0, from one
-    census (_circle_roots) of p(z) = z^(-a) det B(z), [a, b] the band span of
-    B, with its round-off ends stripped (low-end coefficients are roots at
-    z = 0, high-end ones at infinity).  B is certified invertible when no
-    root of p lies within INVERTIBILITY_DELTA of the circle and the grid
-    sigma_min exceeds 1e-12; the winding number is then
+    census (circle_root_angles) of p(z) = z^(-a) det B(z), [a, b] the band
+    span of B, with its round-off ends stripped (low-end coefficients are
+    roots at z = 0, high-end ones at infinity).  B is certified invertible
+    when no root of p lies within INVERTIBILITY_DELTA of the circle and the
+    grid sigma_min exceeds 1e-12; the winding number is then
     #{roots of p in |z| < 1} + a.  NotInvertibleError when that certificate
     fails or det B vanishes to round-off."""
     G = grid_size(256, 8 * (2 * sym.wrap_degree() + 1))
     smin = float(np.linalg.svd(sym.at_many(np.arange(G) / G), compute_uv=False)[:, -1].min())
     poly, noise, a = _laurent_det_poly(sym.coeffs, sym.period)
-    stripped = _strip_noise(poly, noise)
-    if stripped is None:
+    census = circle_root_angles(poly, noise, INVERTIBILITY_DELTA)
+    if census is None:
         raise NotInvertibleError(f"det B vanishes to round-off (grid sigma_min {smin:.3e})")
-    p, at_zero = stripped
-    angles, inside = _circle_roots(p, INVERTIBILITY_DELTA)
+    angles, inside = census
     if angles or smin <= 1e-12:
         raise NotInvertibleError(f"symbol singular on the circle (grid sigma_min {smin:.3e})")
-    return at_zero + inside + a
+    return inside + a

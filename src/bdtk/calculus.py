@@ -39,7 +39,7 @@ from .bdt import (
     bdt,
     bdt_add,
     bdt_is_selfadjoint,
-    bdt_mul,
+    bdt_mul_compact,
     bdt_one,
     bdt_scale,
     bdt_window_numpy,
@@ -186,7 +186,7 @@ def bdt_invert(a: BdtElement, tol: float, sizes) -> CertifiedElement:
     for N in sizes:
         ctilde = k_zero()
         if cols:
-            A_N = bdt_window_numpy(a, N, N)
+            A_N = bdt_window_numpy(a, N)
             rhs = np.zeros((N, len(cols)), dtype=complex)
             for (k, s), v in k_fin.entries.items():
                 if k < N:
@@ -196,8 +196,8 @@ def bdt_invert(a: BdtElement, tol: float, sizes) -> CertifiedElement:
             ctilde = _dense_to_compact(-sol, range(keep), cols, 1e-15)
         x = bdt(binv, ctilde)
         # ||a x - 1|| <= certified banded part + norm of the finite compact part
-        r = max(right_norm + bdt_mul(a, x).compact.smax(),
-                left_norm + bdt_mul(x, a).compact.smax())
+        r = max(right_norm + bdt_mul_compact(a, x).smax(),
+                left_norm + bdt_mul_compact(x, a).smax())
         if r < 1.0:
             xnorm = _norm_bound(binv, norm_tol) + ctilde.smax()
             bound = xnorm * r / (1.0 - r)
@@ -291,8 +291,8 @@ def bdt_exp(a: BdtElement, scale: float, tol: float) -> tuple[BdtElement, float]
     esym = ecert.value
 
     def corner(N: int) -> np.ndarray:
-        A = bdt_window_numpy(a, N, N) * scale
-        return _expi((A + A.conj().T) / 2.0) - bdt_window_numpy(toeplitz(esym), N, N)
+        A = bdt_window_numpy(a, N) * scale
+        return _expi((A + A.conj().T) / 2.0) - bdt_window_numpy(toeplitz(esym), N)
 
     reach = max(abs(n) for n in esym.bands) if esym.bands else 1
     N = max(2 * (c.support_bound() + 2 * reach + 16), 192)
@@ -301,8 +301,8 @@ def bdt_exp(a: BdtElement, scale: float, tol: float) -> tuple[BdtElement, float]
         K1 = corner(N)
         K2 = corner(N + 64)
         W = N // 2
-        # shrink the corner while the excluded mass stays negligible
-        off = None
+        # shrink the corner while the excluded mass stays negligible; the
+        # first try W has empty shells, so W_used and off are always set
         for Wtry in range(W, 15, -8):
             mass = float(np.linalg.norm(K2[Wtry:W, :W])) + float(
                 np.linalg.norm(K2[:W, Wtry:W])
@@ -310,8 +310,6 @@ def bdt_exp(a: BdtElement, scale: float, tol: float) -> tuple[BdtElement, float]
             if mass > tol / 8.0:
                 break
             W_used, off = Wtry, mass
-        if off is None:
-            W_used, off = W, 0.0
         edge = float(np.linalg.norm(K2[W_used - 8: W_used, :W_used])) + float(
             np.linalg.norm(K2[:W_used, W_used - 8: W_used])
         )

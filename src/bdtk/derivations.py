@@ -85,7 +85,7 @@ def der_leibniz_residual(d: DerivationSpec, a1: BdtElement, a2: BdtElement, N: i
     diff = bdt_add(lhs, bdt_scale(-1, rhs))
     if diff.is_zero():
         return 0.0
-    return float(np.linalg.svd(bdt_window_numpy(diff, N, N), compute_uv=False)[0])
+    return float(np.linalg.svd(bdt_window_numpy(diff, N), compute_uv=False)[0])
 
 
 def der_component(d: DerivationSpec, n: int) -> DerivationSpec:
@@ -122,7 +122,7 @@ def der_check_covariance(d_n: DerivationSpec, n: int, a: BdtElement, theta_sampl
         diff = bdt_add(lhs, bdt_scale(-1, rhs))
         if diff.is_zero():
             continue
-        worst = max(worst, float(np.linalg.svd(bdt_window_numpy(diff, 48, 48), compute_uv=False)[0]))
+        worst = max(worst, float(np.linalg.svd(bdt_window_numpy(diff, 48), compute_uv=False)[0]))
     return worst
 
 

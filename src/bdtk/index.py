@@ -99,7 +99,7 @@ def fredholm_index(a: BdtElement, schedule=(64, 128, 256, 512)) -> IndexResult:
     dims = []
     confirmed = 0
     for N in schedule:
-        M = bdt_window_numpy(a, N + pad, N + pad)
+        M = bdt_window_numpy(a, N + pad)
         ker, gap1 = _near_kernel_count(M[:, :N])
         coker, gap2 = _near_kernel_count(M[:N, :])
         dims.append((N, ker, coker))

@@ -305,9 +305,7 @@ def suite_prop_chain(seed: int = 7, cases: int = 200) -> VerifyReport:
         C = correction(b1, b2)
         plus = bd_positive_part(b1)
         neg_bands = {m: ulc_sup_norm(f) for m, f in b2.bands.items() if m < 0}
-        pnorms = {}
-        for j in range(4):
-            pnorms[j] = (0.0 if plus.is_zero() else bd_p_norm(plus, j, norm_tol))
+        pnorms = {j: bd_p_norm(plus, j, norm_tol) for j in range(4)}
         for j in range(4):
             for N in range(4):
                 lhs = k_mn_norm(k_dK_power(C, j), 0, N)
@@ -507,7 +505,7 @@ def suite_inversion(seed: int = 7, cases: int = 50) -> VerifyReport:
         rep.add_leq(f"case-{i:03d}/bd-residual", dig, cert.residual_bound, 1e-8, 0.0)
         oracle = _neumann_inverse(b, w)
         diff = bd_sub(cert.value, oracle)
-        dn = 0.0 if diff.is_zero() else bd_norm(diff, 1e-10)
+        dn = bd_norm(diff, 1e-10)
         rep.add_leq(f"case-{i:03d}/neumann-agreement", dig, dn,
                     1e-8 + cert.residual_bound, 1e-10)
         if i % 2 == 0:

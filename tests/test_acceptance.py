@@ -1,11 +1,12 @@
 """Acceptance gate: every criterion runs at its stated corpus size and
 tolerance through the seeded verification suites and prints one line."""
 
+import hashlib
 import time
 
 import pytest
 
-from bdtk.verify import run_suite
+from bdtk.verify import report_to_json, run_suite
 
 SEED = 7
 
@@ -25,6 +26,17 @@ CRITERIA = [
     (12, "gs-arithmetic", {"cases": 10000}, 5),
 ]
 
+# sha256 of the seed-7 report_to_json text of the exact criteria, which a
+# change that keeps the behaviour keeps byte for byte
+EXACT_REPORT_SHA256 = {
+    1: "9064eed5cb7a9ffea858322b183ac9aa8caf8664ee1251967710cbeaae48f4fc",
+    2: "ab33c9e384b895160ef79688fe8e0339bad03d287f6dbc03a819696f70765463",
+    3: "096a5c3c8bb24b916a58aa397809b4e49a84618c4f866e5e39a2c4a6712e1529",
+    10: "6d9f46e42caf35bf6f4e9957bd9cb50393216bde1fca422a09de9b2ab7b9a55a",
+    11: "578c31e22930a4e57dfccf6aef66ba9d546e130976eefa312f2e0508ac9c61c9",
+    12: "a9e38caff6869a1774a49a7eb8b90ffe7658e855b8cd7668269dcf31eeb10420",
+}
+
 
 @pytest.mark.parametrize("number,suite,kwargs,budget", CRITERIA,
                          ids=[f"criterion-{n:02d}-{s}" for n, s, _, _ in CRITERIA])
@@ -40,3 +52,6 @@ def test_criterion(number, suite, kwargs, budget):
         print(f"    failed {c.case_id}: lhs={c.lhs!r} rhs={c.rhs!r} tol={c.tolerance!r}")
     assert report.all_passed, f"criterion {number}: {report.failed} failed checks"
     assert elapsed <= budget, f"criterion {number} exceeded its {budget}s budget ({elapsed:.1f}s)"
+    if number in EXACT_REPORT_SHA256:
+        digest = hashlib.sha256(report_to_json(report).encode()).hexdigest()
+        assert digest == EXACT_REPORT_SHA256[number], f"criterion {number} report bytes moved"

@@ -145,16 +145,17 @@ def test_rho_norm_invariance(S23, rng):
 def test_symbol_examples(S23):
     S = S23
     sym = bd_symbol(bd_v(S, 1))
-    assert sym.period == 1 and np.allclose(sym.at(0.25), [[np.exp(0.5j * np.pi)]])
+    assert sym.period == 1
+    assert np.allclose(sym.at_many(np.array([0.25]))[0], [[np.exp(0.5j * np.pi)]])
     f = ulc([1, 2])
     sym = bd_symbol(bd_m(S, f))
-    assert np.allclose(sym.at(0.3), np.diag([1.0, 2.0]))
+    assert np.allclose(sym.at_many(np.array([0.3]))[0], np.diag([1.0, 2.0]))
     # period-2 shift: m_f V sends column s to row s+1 with value f(s+1),
     # so the corner wrap entry carries z
     sym2 = bd_symbol(bd_mul(bd_m(S, f), bd_v(S, 1)))
     assert sym2.period == 2
     z = np.exp(2j * np.pi * 0.2)
-    B = sym2.at(0.2)
+    B = sym2.at_many(np.array([0.2]))[0]
     assert abs(B[1, 0] - 2) < 1e-12 and abs(B[0, 1] - z) < 1e-12
 
 

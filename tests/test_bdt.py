@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import numpy as np
+
 from bdtk import corpus as cp
 from bdtk.bd import (
     bd_adjoint,
@@ -27,6 +29,7 @@ from bdtk.bdt import (
     bdt_scale,
     bdt_truncate,
     bdt_u,
+    bdt_window_numpy,
     correction,
     tau,
     toeplitz,
@@ -230,3 +233,32 @@ def test_equality_rule_on_mixed_containers(S23):
     assert not bdt_equal(band(0, Fraction(1, 3), 0.5), band(0, Fraction(1, 3) + tiny, 0.5))
     assert not bdt_equal(bdt_add(entry(0, 0, 0.5), entry(1, 1, Fraction(1, 3))),
                          bdt_add(entry(0, 0, 0.5), entry(1, 1, Fraction(1, 3) + tiny)))
+
+
+def _window_by_entry(a, N):
+    # the per-entry loop that bdt_window_numpy replaced, kept as its oracle
+    out = np.zeros((N, N), dtype=complex)
+    for n, f in a.symbol.bands.items():
+        for s in range(max(0, -n), N):
+            k = s + n
+            if 0 <= k < N:
+                out[k, s] += ulc_eval(f, s).to_complex()
+    for (k, s), v in a.compact.entries.items():
+        if k < N and s < N:
+            out[k, s] += v.to_complex()
+    return out
+
+
+def test_window_matches_the_entry_loop(S23, rng):
+    # bands up to +-6 against corners down to N = 1, and compact entries in
+    # [0, 8)^2 that reach past the smaller corners; exact input and the same
+    # input rotated to float-tagged values
+    for _ in range(20):
+        a = bdt(cp.rand_bd(rng, S23, max_band=6, n_bands=4), cp.rand_compact(rng))
+        rotated = bdt_rho(a, 0.1234)
+        assert not rotated.symbol.is_exact
+        for x in (a, rotated):
+            for N in (1, 3, 5, 16):
+                got, want = bdt_window_numpy(x, N), _window_by_entry(x, N)
+                assert got.shape == want.shape == (N, N)
+                assert (got == want).all() and got.tobytes() == want.tobytes()

@@ -54,9 +54,29 @@ def test_roundoff_end_coefficients_do_not_hide_crossings():
     # by ~1e-6, past delta, so the level would read as uncrossed.
     clean = np.where(np.abs(LEVEL_POLY) > 1e-10, LEVEL_POLY, 0)[2:11]
     expected = sorted((np.angle(np.roots(clean[::-1])) / (2 * np.pi)) % 1.0)
-    angles = bloch.circle_root_angles(LEVEL_POLY, noise=1e-16)
+    angles, _ = bloch.circle_root_angles(LEVEL_POLY, 1e-16, bloch.CROSSING_DELTA)
     assert len(angles) == len(expected) == 8
     assert np.allclose(angles, expected, atol=1e-9)
+
+
+def test_one_census_serves_the_level_test_and_the_winding(S23, monkeypatch):
+    # det_winding and the level test both count roots through
+    # circle_root_angles, each with its own window
+    deltas = []
+    census = bloch.circle_root_angles
+
+    def spy(poly, noise, delta):
+        deltas.append(delta)
+        return census(poly, noise, delta)
+
+    monkeypatch.setattr(bloch, "circle_root_angles", spy)
+    # |band 0| >= 2 > |band 1|, so B is invertible with winding 0
+    sym = bd_symbol(bd_element(S23, {0: ulc([3, 2]), 1: ulc([1, Fraction(1, 2)])}))
+    assert bloch.det_winding(sym) == 0
+    assert deltas == [bloch.INVERTIBILITY_DELTA]
+    deltas.clear()
+    bloch.certified_sup_smax(sym, 1e-9)
+    assert deltas and set(deltas) == {bloch.CROSSING_DELTA}
 
 
 def test_level_crossings_found_below_the_sup():
@@ -121,13 +141,13 @@ def test_level_test_above_degree_512(S23, monkeypatch):
                          for n in (0, 200, -200, 3)})
     sym = bd_symbol(b)
     census_degrees = []
-    census = bloch._circle_roots
+    census = bloch.circle_root_angles
 
-    def spy(p, delta):
-        census_degrees.append(len(p) - 1)
-        return census(p, delta)
+    def spy(poly, noise, delta):
+        census_degrees.append(len(poly) - 1)
+        return census(poly, noise, delta)
 
-    monkeypatch.setattr(bloch, "_circle_roots", spy)
+    monkeypatch.setattr(bloch, "circle_root_angles", spy)
     start = time.perf_counter()
     r = bloch.certified_sup_smax(sym, 1e-6)
     elapsed = time.perf_counter() - start

@@ -115,8 +115,8 @@ def test_bdt_invert_toeplitz(S23):
     b = bd_add(bd_add(bd_scalar(S23, 5), bd_scale(2, bd_v(S23, 1))), bd_scale(2, bd_v(S23, -1)))
     cert = bdt_invert(toeplitz(b), 1e-8, [64, 128, 256])
     assert cert.residual_bound <= 1e-8
-    A = bdt_window_numpy(toeplitz(b), 300, 300)
-    X = bdt_window_numpy(cert.value, 300, 300)
+    A = bdt_window_numpy(toeplitz(b), 300)
+    X = bdt_window_numpy(cert.value, 300)
     assert np.abs((A @ X - np.eye(300))[:40, :40]).max() < 1e-8
 
 

@@ -180,13 +180,13 @@ def test_winding_above_degree_512(S23, monkeypatch):
     b = bd_element(S23, {264: band(big), 0: band([Fraction(1, 16)] * 12),
                          -264: band([1 / m for m in big])})
     census_degrees = []
-    census = bloch._circle_roots
+    census = bloch.circle_root_angles
 
-    def spy(p, delta):
-        census_degrees.append(len(p) - 1)
-        return census(p, delta)
+    def spy(poly, noise, delta):
+        census_degrees.append(len(poly) - 1)
+        return census(poly, noise, delta)
 
-    monkeypatch.setattr(bloch, "_circle_roots", spy)
+    monkeypatch.setattr(bloch, "circle_root_angles", spy)
     assert winding(b) == det_winding_by_phase(bd_symbol(b)) == 22 * (8 - 4)
     assert census_degrees == [528]  # one census, of the full degree
 
