@@ -29,6 +29,12 @@ degree b - a, whatever the period.  For z^(-a) det B(z) the census
 certifies that B is invertible on the circle and counts the roots inside it,
 hence the winding number of det B and the Fredholm index of T(b)
 (det_winding).
+
+The calculus goes the other way: it samples a function of the symbol at G
+equispaced angles and reads the bands back (symbol_samples_to_bands).  Entry
+r of band n is the entry ((n + r) mod l, r) of the DFT coefficient of wrap
+power w = floor((n + r) / l), so one array gather reads every band
+|n| <= max_band.  The read does not alias while ceil(max_band / l) <= (G - 1) // 2.
 """
 
 from __future__ import annotations
@@ -96,29 +102,20 @@ def symbol_from_bands(l: int, band_values: dict[int, np.ndarray]) -> SymbolMatri
     return SymbolMatrix(l, coeffs)
 
 
-def symbol_samples_to_bands(samples: np.ndarray, max_band: int) -> dict[int, np.ndarray]:
+def symbol_samples_to_bands(samples: np.ndarray, max_band: int) -> tuple[np.ndarray, np.ndarray]:
     """Invert G equispaced symbol samples to band value arrays.
 
-    samples has shape (G, l, l); bands with |n| <= max_band are read off the
-    discrete Fourier coefficients of the matrix entries (aliasing folds in
-    contributions from wrap powers beyond G/2, which the caller controls by
-    choosing G large enough)."""
+    samples has shape (G, l, l).  Returns ns = -max_band..max_band and the
+    (2 max_band + 1, l) array whose row n holds the values of band n: entry r
+    is the Fourier coefficient C_w[(n + r) mod l, r] of wrap power
+    w = floor((n + r) / l), read from the DFT of the samples.  The read is
+    free of aliasing only while every such |w| <= (G - 1) // 2, that is
+    ceil(max_band / l) <= (G - 1) // 2; the caller chooses G so."""
     G, l, _ = samples.shape
     C = np.fft.fft(samples, axis=0) / G
-    out: dict[int, np.ndarray] = {}
-    for n in range(-max_band, max_band + 1):
-        vals = np.zeros(l, dtype=complex)
-        ok = False
-        for r in range(l):
-            rp = (r + n) % l
-            w = (r + n - rp) // l
-            if abs(w) > (G - 1) // 2:
-                continue
-            vals[r] = C[w % G, rp, r]
-            ok = True
-        if ok and np.any(vals != 0):
-            out[n] = vals
-    return out
+    ns = np.arange(-max_band, max_band + 1)
+    m = ns[:, None] + np.arange(l)
+    return ns, C[(m // l) % G, m % l, np.arange(l)]
 
 
 def _smax_batch(mats: np.ndarray) -> np.ndarray:

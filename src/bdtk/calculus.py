@@ -81,15 +81,22 @@ def _grid_candidate(S: Supernatural, samples: np.ndarray, max_band: int,
     """Read the bands |n| <= max_band back from a (G, l, l) stack of samples at
     G equispaced angles, dropping those whose sup norm is at most drop;
     returns the element and the dropped sup-norm mass."""
-    kept: dict[int, object] = {}
+    ns, values = bloch.symbol_samples_to_bands(samples, max_band)
+    sups = np.abs(values).max(axis=1)
+    low = sups <= drop
     dropped = 0.0
-    for n, vals in bloch.symbol_samples_to_bands(samples, max_band).items():
-        sup = float(np.max(np.abs(vals)))
-        if sup <= drop:
-            dropped += sup
-            continue
-        kept[n] = ulc([Scalar.from_complex(z) for z in vals])
+    # left to right in n: np.sum pairs the terms, and sum() compensates on 3.12+
+    for sup in sups[low].tolist():
+        dropped += sup
+    kept = {int(n): ulc([Scalar.from_complex(z) for z in vals])
+            for n, vals in zip(ns[~low], values[~low])}
     return bd_element(S, kept), dropped
+
+
+def _candidate_grid(max_band: int, l: int) -> int:
+    """How many angles the candidates of bd_invert and bd_exp sample: enough
+    that reading bands |n| <= max_band of period l back does not alias."""
+    return bloch.grid_size(256, 8 * (max_band // l + 2))
 
 
 def _norm_bound(x: BdElement, tol: float) -> float:
@@ -128,7 +135,7 @@ def bd_invert(b: BdElement, tol: float, max_band: int) -> CertifiedElement:
             )
     sym = bd_symbol(b)
     bloch.det_winding(sym)  # certifies invertibility; the count is not needed
-    G = bloch.grid_size(256, 8 * (max_band // b.period + 2))
+    G = _candidate_grid(max_band, b.period)
     samples = np.linalg.inv(sym.at_many(np.arange(G) / G))
     cand, _ = _grid_candidate(b.S, samples, max_band, tol / (4.0 * max_band))
     nrm = _norm_bound(cand, 1e-8)
@@ -177,20 +184,18 @@ def bdt_invert(a: BdtElement, tol: float, sizes) -> CertifiedElement:
     cols = sorted({s for (_, s) in k_fin.entries})
     norm_tol = max(min(tol, 1e-9) / 8.0, 1e-14)
     # the symbols of a x and x a are b b~ and b~ b at every truncation size,
-    # so both banded defects are certified once
+    # so both banded defects and ||b~|| are certified once
     right_defect = bd_sub(bd_mul(b, binv), bd_one(b.S))
     left_defect = bd_sub(bd_mul(binv, b), bd_one(b.S))
-    right_norm, left_norm = (_norm_bound(d, norm_tol) for d in (right_defect, left_defect))
+    right_norm, left_norm, binv_norm = (
+        _norm_bound(x, norm_tol) for x in (right_defect, left_defect, binv))
 
     best = None
     for N in sizes:
         ctilde = k_zero()
         if cols:
             A_N = bdt_window_numpy(a, N)
-            rhs = np.zeros((N, len(cols)), dtype=complex)
-            for (k, s), v in k_fin.entries.items():
-                if k < N:
-                    rhs[k, cols.index(s)] = v.to_complex()
+            rhs = k_fin.to_numpy(range(N), range(cols[-1] + 1))[:, cols]
             sol, *_ = np.linalg.lstsq(A_N, rhs, rcond=None)
             keep = N - 2 * max(b.bandwidth, 1)
             ctilde = _dense_to_compact(-sol, range(keep), cols, 1e-15)
@@ -199,8 +204,7 @@ def bdt_invert(a: BdtElement, tol: float, sizes) -> CertifiedElement:
         r = max(right_norm + bdt_mul_compact(a, x).smax(),
                 left_norm + bdt_mul_compact(x, a).smax())
         if r < 1.0:
-            xnorm = _norm_bound(binv, norm_tol) + ctilde.smax()
-            bound = xnorm * r / (1.0 - r)
+            bound = (binv_norm + ctilde.smax()) * r / (1.0 - r)
             if bound <= tol:
                 return CertifiedElement(x, bound, "symbol-inverse+truncated-solve")
             best = bound if best is None else min(best, bound)
@@ -238,7 +242,7 @@ def bd_exp(b: BdElement, tol: float, max_band: int) -> CertifiedElement:
     if b.is_zero():
         return CertifiedElement(bd_one(S), 0.0, "exact")
     sym = bd_symbol(b)
-    G = bloch.grid_size(256, 8 * (max_band // l + 2))
+    G = _candidate_grid(max_band, l)
     drop = tol / (4.0 * max_band + 4.0)
     norm_tol = max(tol / 16.0, 1e-14)
     # (2k)/(2G) is the same double as k/G: the even samples are the G-point grid
@@ -310,12 +314,9 @@ def bdt_exp(a: BdtElement, scale: float, tol: float) -> tuple[BdtElement, float]
             if mass > tol / 8.0:
                 break
             W_used, off = Wtry, mass
-        edge = float(np.linalg.norm(K2[W_used - 8: W_used, :W_used])) + float(
-            np.linalg.norm(K2[:W_used, W_used - 8: W_used])
-        )
         diff = float(np.linalg.svd(K1[:W_used, :W_used] - K2[:W_used, :W_used],
                                    compute_uv=False)[0])
-        residual = 3.0 * diff + 2.0 * off + edge + 1e-12
+        residual = 3.0 * diff + 2.0 * off + 1e-12
         if residual <= tol:
             ctilde = _dense_to_compact(K2, range(W_used), range(W_used), 1e-15)
             return bdt(esym, ctilde), ecert.residual_bound + residual

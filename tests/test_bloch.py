@@ -193,3 +193,50 @@ def test_inconclusive_root_test_gives_no_certificate(monkeypatch):
     monkeypatch.setattr(bloch, "_level_root_angles", lambda *args: None)
     with pytest.raises(ToleranceUnreachableError, match="did not converge"):
         bloch.certified_sup_smax(sym, 1e-9)
+
+
+def _read_back_by_cells(samples, max_band):
+    # the per-cell read-back that symbol_samples_to_bands replaced: one
+    # (band, residue) pair at a time, all-zero bands left out
+    G, l, _ = samples.shape
+    C = np.fft.fft(samples, axis=0) / G
+    out = {}
+    for n in range(-max_band, max_band + 1):
+        vals = np.zeros(l, dtype=complex)
+        ok = False
+        for r in range(l):
+            rp = (r + n) % l
+            w = (r + n - rp) // l
+            if abs(w) > (G - 1) // 2:
+                continue
+            vals[r] = C[w % G, rp, r]
+            ok = True
+        if ok and np.any(vals != 0):
+            out[n] = vals
+    return out
+
+
+@pytest.mark.parametrize("G", [256, 512])
+@pytest.mark.parametrize("l", [1, 2, 3, 5, 12])
+def test_read_back_matches_the_cell_loop(l, G):
+    gen = np.random.default_rng(1000 * l + G)
+    noisy = gen.standard_normal((G, l, l)) + 1j * gen.standard_normal((G, l, l))
+    noisy[:, 0, l - 1] = 0.0
+    noisy[:, l - 1, 0] = complex(-0.0, -0.0)
+    # samples constant in theta: every wrap power but 0 reads back as a zero
+    flat = np.broadcast_to(gen.standard_normal((l, l)) + 0j, (G, l, l)).copy()
+    flat[:, 0, 0] = complex(-0.0, 0.0)
+    zero_rows = 0
+    for samples in (noisy, flat):
+        for max_band in (1, l, 3 * l + 1, 7 * l):
+            ns, values = bloch.symbol_samples_to_bands(samples, max_band)
+            want = _read_back_by_cells(samples, max_band)
+            assert ns.tolist() == list(range(-max_band, max_band + 1))
+            assert values.shape == (2 * max_band + 1, l)
+            for n, row in zip(ns.tolist(), values):
+                if n in want:
+                    assert row.tobytes() == want[n].tobytes()
+                else:
+                    assert not np.any(row)
+                    zero_rows += 1
+    assert zero_rows > 0

@@ -10,6 +10,7 @@ from bdtk import bloch, calculus
 from bdtk import corpus as cp
 from bdtk.bd import (
     bd_add,
+    bd_adjoint,
     bd_apply,
     bd_element,
     bd_equal,
@@ -47,7 +48,7 @@ from bdtk.calculus import (
     k_exp,
     smooth_calc,
 )
-from bdtk.compact import CompactMatrix, k_units
+from bdtk.compact import CompactMatrix, k_scale, k_units
 from bdtk.errors import NotInvertibleError, ToleranceUnreachableError
 from bdtk.scalars import Scalar
 from bdtk.ulc import ulc, ulc_eval, ulc_refine
@@ -314,3 +315,67 @@ def test_bdt_invert_rejects_sizes_below_one(S23, sizes):
                 bdt_from_compact(S23, k_units(0, 0)))
     with pytest.raises(ValueError):
         bdt_invert(a, 1e-8, sizes)
+
+
+def test_candidate_grid_never_aliases():
+    # bd_invert reads bands |n| <= max_band of period l back from G angles and
+    # bd_exp from G and 2G; the widest wrap power ceil(max_band / l) must stay
+    # within (G - 1) // 2 for the read-back to hold no folded-in terms
+    for l in range(1, 1025):
+        max_band = np.arange(1, 1025)
+        wrap = np.maximum(-(-max_band // l), (max_band + l - 1) // l)
+        G = np.array([calculus._candidate_grid(int(m), l) for m in max_band])
+        assert np.all(wrap <= (G - 1) // 2)
+        assert np.all(wrap <= (2 * G - 1) // 2)
+
+
+def _t2_plus_vstar(S):
+    # T(2 + V^*) + P_{20,20} / 64: every size below 21 misses the compact
+    # entry, so r < 1 but the bound stays far above 1e-9
+    b = bd_add(bd_scalar(S, 2), bd_v(S, -1))
+    return bdt_add(toeplitz(b), bdt_from_compact(S, k_scale(Fraction(1, 64), k_units(20, 20))))
+
+
+@pytest.mark.parametrize("sizes", [[8], [8, 12, 16]])
+def test_bdt_invert_reports_its_best_bound_above_tol(S23, sizes):
+    with pytest.raises(ToleranceUnreachableError, match="best certified bound"):
+        bdt_invert(_t2_plus_vstar(S23), 1e-9, sizes)
+
+
+def test_bdt_invert_certifies_each_symbol_norm_once(S23, monkeypatch):
+    # bd_invert makes 2 bd_norm calls at each max_band it tries (12, 24, 48);
+    # bdt_invert then certifies the two defects and ||b~|| once each, not
+    # ||b~|| again at each of the 3 sizes that reach r < 1
+    calls = _spy(monkeypatch, calculus, "bd_norm")
+    with pytest.raises(ToleranceUnreachableError):
+        bdt_invert(_t2_plus_vstar(S23), 1e-9, [8, 12, 16])
+    assert len(calls) == 9
+
+
+def test_bdt_invert_raises_when_the_symbol_inverse_misses_tol(S23):
+    # 101/100 + V is invertible, but its inverse decays like 100^-n / 101^-n:
+    # max_band 12, 24 and 48 all leave a tail above tol
+    b = bd_add(bd_scalar(S23, Fraction(101, 100)), bd_v(S23, 1))
+    with pytest.raises(ToleranceUnreachableError, match="symbol inverse did not reach tolerance"):
+        bdt_invert(toeplitz(b), 1e-8, [64])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_bdt_exp_estimate_reaches_tol_and_holds(seed):
+    # T(h) (+ a self-adjoint compact on odd seeds) for h = (b + b^*)/2 with
+    # bands 3 and 4 of period 12, at scale 2 pi / 8: each returned estimate is
+    # above the gap to e^{i scale a} taken from an 800-wide window's corner
+    rng = random.Random(seed)
+    S = cp.DEFAULT_S
+    b = bd_element(S, {n: ulc([cp.rand_scalar(rng, 4) / 20 for _ in range(12)]) for n in (3, 4)})
+    a = toeplitz(bd_scale(Fraction(1, 2), bd_add(b, bd_adjoint(b))))
+    if seed % 2:
+        a = bdt_add(a, bdt_from_compact(S, cp.rand_selfadjoint_compact(rng, nnz=3, top=2)))
+    scale = 2 * math.pi / 8
+    A = bdt_window_numpy(a, 800) * scale
+    exact = calculus._expi((A + A.conj().T) / 2)[:200, :200]
+    for tol in (1e-4, 1e-6):
+        e, residual = calculus.bdt_exp(a, scale, tol)
+        assert residual <= tol
+        gap = float(np.linalg.svd(bdt_window_numpy(e, 200) - exact, compute_uv=False)[0])
+        assert gap <= residual
