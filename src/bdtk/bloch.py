@@ -34,7 +34,8 @@ The calculus goes the other way: it samples a function of the symbol at G
 equispaced angles and reads the bands back (symbol_samples_to_bands).  Entry
 r of band n is the entry ((n + r) mod l, r) of the DFT coefficient of wrap
 power w = floor((n + r) / l), so one array gather reads every band
-|n| <= max_band.  The read does not alias while ceil(max_band / l) <= (G - 1) // 2.
+|n| <= max_band.  The read does not alias while every such |w|, at most
+ceil(max_band / l), is at most (G - 1) // 2.
 """
 
 from __future__ import annotations
@@ -103,13 +104,9 @@ def symbol_from_bands(l: int, band_values: dict[int, np.ndarray]) -> SymbolMatri
 
 
 def symbol_samples_to_bands(samples: np.ndarray, max_band: int) -> tuple[np.ndarray, np.ndarray]:
-    """Invert G equispaced symbol samples to band value arrays.
-
-    samples has shape (G, l, l).  Returns ns = -max_band..max_band and the
-    (2 max_band + 1, l) array whose row n holds the values of band n: entry r
-    is the Fourier coefficient C_w[(n + r) mod l, r] of wrap power
-    w = floor((n + r) / l), read from the DFT of the samples.  The read is
-    free of aliasing only while every such |w| <= (G - 1) // 2, that is
+    """Read bands ns = -max_band..max_band back from G equispaced samples of
+    shape (G, l, l), as the (2 max_band + 1, l) array of their values (the
+    gather is in the module docstring).  The read does not alias while
     ceil(max_band / l) <= (G - 1) // 2; the caller chooses G so."""
     G, l, _ = samples.shape
     C = np.fft.fft(samples, axis=0) / G

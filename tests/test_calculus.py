@@ -353,8 +353,8 @@ def test_bdt_invert_certifies_each_symbol_norm_once(S23, monkeypatch):
 
 
 def test_bdt_invert_raises_when_the_symbol_inverse_misses_tol(S23):
-    # 101/100 + V is invertible, but its inverse decays like 100^-n / 101^-n:
-    # max_band 12, 24 and 48 all leave a tail above tol
+    # 101/100 + V is invertible, but the bands of its inverse decay only like
+    # (100/101)^n: max_band 12, 24 and 48 all leave a tail above tol
     b = bd_add(bd_scalar(S23, Fraction(101, 100)), bd_v(S23, 1))
     with pytest.raises(ToleranceUnreachableError, match="symbol inverse did not reach tolerance"):
         bdt_invert(toeplitz(b), 1e-8, [64])
