@@ -4,11 +4,15 @@ calculus.
 Approximate operations return a CertifiedElement carrying a residual bound in
 operator norm.  Inverses are verified a posteriori: from a candidate x with
 r = ||a x - 1|| < 1 (and the mirror-image bound) one gets
-||a^{-1} - x|| <= ||x|| r / (1 - r), so every reported bound is backed by an
-exactly computed defect plus certified symbol norms.  Exponentials are built
-on the symbol side (pointwise spectral exponential on a roots-of-unity grid,
-inverse DFT to bands) with a grid-doubling plus band-tail residual estimate;
-power-series and block oracles in the test suite keep those estimates honest.
+||a^{-1} - x|| <= ||x|| r / (1 - r).  The candidates stay numpy band rows
+until one is returned.  The banded defect is formed in double precision from
+the exact b and the float candidate by the band rule, and bounded by the sum
+of its band sups plus the rounding bound rho of forming it (_norm_bound), or
+by a certified symbol norm when that sum exceeds the tolerance.  Exponentials
+are built on the symbol side (pointwise spectral exponential on a
+roots-of-unity grid, inverse DFT to bands) with a grid-doubling plus band-tail
+residual estimate; power-series and block oracles in the test suite keep
+those estimates honest.
 """
 
 from __future__ import annotations
@@ -22,15 +26,13 @@ from . import bloch
 from .arith import Supernatural, INF
 from .bd import (
     BdElement,
+    bd_band_values,
     bd_delta_L_power,
     bd_element,
     bd_is_selfadjoint,
-    bd_mul,
-    bd_norm,
     bd_one,
     bd_p_norm,
     bd_scale,
-    bd_sub,
     bd_symbol,
     bd_zero,
 )
@@ -50,9 +52,10 @@ from .bdt import (
 from .compact import CompactMatrix, k_add, k_dK_power, k_mn_norm, k_zero
 from .errors import NotInvertibleError, ToleranceUnreachableError
 from .scalars import Scalar
-from .ulc import ulc, ulc_shift, ulc_sup_norm
+from .ulc import UlcFunction, ulc, ulc_shift, ulc_sup_norm
 
 _DEFAULT_S = Supernatural({2: INF})
+_U = 2.0 ** -53  # unit roundoff of IEEE double
 
 
 @dataclass(frozen=True)
@@ -76,11 +79,12 @@ def _expi(H: np.ndarray) -> np.ndarray:
     return V @ Vh
 
 
-def _grid_candidate(S: Supernatural, samples: np.ndarray, max_band: int,
-                    drop: float) -> tuple[BdElement, float]:
+def _grid_candidate(samples: np.ndarray, max_band: int,
+                    drop: float) -> tuple[np.ndarray, np.ndarray, float]:
     """Read the bands |n| <= max_band back from a (G, l, l) stack of samples at
     G equispaced angles, dropping those whose sup norm is at most drop;
-    returns the element and the dropped sup-norm mass."""
+    returns the kept band indices, their (k, l) value rows and the dropped
+    sup-norm mass."""
     ns, values = bloch.symbol_samples_to_bands(samples, max_band)
     sups = np.abs(values).max(axis=1)
     low = sups <= drop
@@ -88,9 +92,7 @@ def _grid_candidate(S: Supernatural, samples: np.ndarray, max_band: int,
     # left to right in n: np.sum pairs the terms, and sum() compensates on 3.12+
     for sup in sups[low].tolist():
         dropped += sup
-    kept = {int(n): ulc([Scalar.from_complex(z) for z in vals])
-            for n, vals in zip(ns[~low], values[~low])}
-    return bd_element(S, kept), dropped
+    return ns[~low], values[~low], dropped
 
 
 def _candidate_grid(max_band: int, l: int) -> int:
@@ -99,9 +101,85 @@ def _candidate_grid(max_band: int, l: int) -> int:
     return bloch.grid_size(256, 8 * (max_band // l + 2))
 
 
-def _norm_bound(x: BdElement, tol: float) -> float:
-    """An upper bound on ||x||: its norm certified within tol, plus tol."""
-    return 0.0 if x.is_zero() else bd_norm(x, tol) + tol
+def _min_periods(rows: np.ndarray) -> np.ndarray:
+    """The least period of each row of a (k, l) array: the least d dividing l
+    with row[r] == row[r mod d] for every r, the period ulc keeps."""
+    k, l = rows.shape
+    periods = np.full(k, l)
+    for d in range(l - 1, 0, -1):  # downwards, so the least period is set last
+        if l % d == 0:
+            periods[(rows == rows[:, np.arange(l) % d]).all(axis=1)] = d
+    return periods
+
+
+def _wrap(S: Supernatural, ns: np.ndarray, rows: np.ndarray) -> BdElement:
+    """The band element with band ns[i] = rows[i]: the only place a candidate
+    becomes Scalars, one float-tagged Scalar per value of each least period."""
+    return bd_element(S, {n: UlcFunction(d, tuple(map(Scalar.from_complex, row[:d].tolist())))
+                          for n, row, d in zip(ns.tolist(), rows, _min_periods(rows).tolist())})
+
+
+def _gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u) for the unit roundoff u = 2^-53 (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., sec. 3.1)."""
+    ku = k * _U
+    return ku / (1.0 - ku)
+
+
+def _sup_sum(rows: np.ndarray) -> float:
+    """sum_n sup|rows[n]| over the rows of a (k, l) array, rounded up: each
+    computed sup is within one ulp (hypot), and fsum rounds once."""
+    return math.fsum(np.abs(rows).max(axis=1, initial=0.0).tolist()) * (1.0 + 4.0 * _U)
+
+
+def _defect_rows(b_rows: dict[int, np.ndarray], ns: np.ndarray, rows: np.ndarray,
+                 b_first: bool) -> tuple[dict[int, np.ndarray], float]:
+    """The band rows of b x - 1 (b_first) or x b - 1, for b with the rows
+    b_rows = {n: f_n} and x = sum_i V^{ns[i]} m_{rows[i]}, all over one period
+    l; and rho >= sum_k sup|computed band k - exact band k|.
+
+    The band rule (V^n m_f)(V^m m_g) = V^{n+m} m_{(f o phi^m) g} takes one
+    gather per band of b.  Each entry sums at most K = len(b_rows) complex
+    products, then subtracts the 1, so its error is at most
+    sqrt(2) gamma_{K+2} (sum |f||g| + 1) (Higham, sec. 3.1 and 3.6; the
+    bound holds with FMA too).  Two more units of u let each factor carry the
+    relative error u of its conversion to double, which holds for
+    float-tagged and Gaussian-rational values.  Summed over the bands this is
+    rho = sqrt(2) gamma_{K+4} (sum_n sup|f_n| sum_i sup|rows_i| + 1)."""
+    l = rows.shape[1]
+    r = np.arange(l)
+    lo = min(0, min(b_rows) + int(ns.min(initial=0)))
+    out = np.zeros((max(0, max(b_rows) + int(ns.max(initial=0))) - lo + 1, l), dtype=complex)
+    for n, f in b_rows.items():
+        if b_first:
+            out[ns + n - lo] += f[(ns[:, None] + r) % l] * rows
+        else:
+            out[ns + n - lo] += rows[:, (n + r) % l] * f
+    out[-lo] -= 1.0
+    mass = sum(float(np.abs(f).max()) for f in b_rows.values()) * _sup_sum(rows)
+    rho = math.sqrt(2.0) * _gamma(len(b_rows) + 4) * (mass + 1.0)
+    return {k + lo: row for k, row in enumerate(out)}, rho
+
+
+def _norm_bound(rows: dict[int, np.ndarray], tol: float, rho: float = 0.0) -> float:
+    """An upper bound on ||x||, x = sum_n V^n m_{f_n} the exact element whose
+    band rows rows = {n: f_n} were computed within rho (sum over the bands of
+    the sup errors).
+
+    ||V^n m_f|| = sup|f|, so s = sum_n sup|f_n| + rho >= ||x|| by the triangle
+    inequality, and s is returned when s <= tol.  Otherwise the norm of the
+    rows, on the symbol at the lcm of their least periods, is certified
+    within tol, and that value plus tol plus rho is returned."""
+    rows = {n: f for n, f in rows.items() if f.any()}
+    if not rows:
+        return rho
+    stack = np.array(list(rows.values()))
+    s = (_sup_sum(stack) + rho) * (1.0 + 2.0 * _U)
+    if s <= tol:
+        return s
+    l = math.lcm(*_min_periods(stack).tolist())
+    sym = bloch.symbol_from_bands(l, {n: f[:l] for n, f in rows.items()})
+    return bloch.certified_sup_smax(sym, tol) + tol + rho
 
 
 def _dense_to_compact(M: np.ndarray, rows, cols, floor: float) -> CompactMatrix:
@@ -116,9 +194,11 @@ def bd_invert(b: BdElement, tol: float, max_band: int) -> CertifiedElement:
     """Certified approximate inverse of an invertible band element.
 
     The Bloch symbol is inverted pointwise on a roots-of-unity grid and
-    transformed back to bands truncated at max_band; the residual
-    r = ||b b~ - 1|| is computed from the exact band product and a certified
-    norm, giving ||b^{-1} - b~|| <= ||b~|| r / (1 - r)."""
+    transformed back to bands truncated at max_band.  The defect b b~ - 1 is
+    formed in double precision from the exact b and the float b~, and its
+    norm r is bounded by _norm_bound (the band-sup sum plus rho, or a
+    certified norm when that sum exceeds the tolerance), giving
+    ||b^{-1} - b~|| <= ||b~|| r / (1 - r)."""
     bloch.check_tol(tol)
     if max_band < 1:
         raise ValueError("max_band must be positive")
@@ -135,20 +215,22 @@ def bd_invert(b: BdElement, tol: float, max_band: int) -> CertifiedElement:
             )
     sym = bd_symbol(b)
     bloch.det_winding(sym)  # certifies invertibility; the count is not needed
-    G = _candidate_grid(max_band, b.period)
+    l = b.period
+    G = _candidate_grid(max_band, l)
     samples = np.linalg.inv(sym.at_many(np.arange(G) / G))
-    cand, _ = _grid_candidate(b.S, samples, max_band, tol / (4.0 * max_band))
-    nrm = _norm_bound(cand, 1e-8)
+    ns, rows, _ = _grid_candidate(samples, max_band, tol / (4.0 * max_band))
+    nrm = _norm_bound(dict(zip(ns.tolist(), rows)), 1e-8)
     # the certificate floor is ||cand|| * (defect-norm tolerance), so the
     # tolerance must shrink with the candidate's size
     norm_tol = max(min(tol, 1e-9) / (8.0 * max(1.0, nrm)), 1e-15)
-    r = _norm_bound(bd_sub(bd_mul(b, cand), bd_one(b.S)), norm_tol)
+    defect, rho = _defect_rows(bd_band_values(b, np.arange(l)), ns, rows, True)
+    r = _norm_bound(defect, norm_tol, rho)
     bound = nrm * r / (1.0 - r) if r < 1.0 else math.inf
     if bound > tol:
         raise ToleranceUnreachableError(
             f"residual bound {bound} (defect norm {r}) above tol {tol} at max_band {max_band}"
         )
-    return CertifiedElement(cand, bound, "bloch-symbol-inverse")
+    return CertifiedElement(_wrap(b.S, ns, rows), bound, "bloch-symbol-inverse")
 
 
 def bdt_invert(a: BdtElement, tol: float, sizes) -> CertifiedElement:
@@ -157,9 +239,11 @@ def bdt_invert(a: BdtElement, tol: float, sizes) -> CertifiedElement:
     b^{-1} comes from bd_invert; the compact part solves truncated linear
     systems A_N u = k_fin column by column on the growing schedule, where
     k_fin = correction(b, b~) + c T(b~) is the exactly computed finite defect
-    of T(b~).  Both one-sided defects are then evaluated exactly and certified;
-    r >= 1 on the full schedule means the element is not invertible (e.g. a
-    nonzero Fredholm index)."""
+    of T(b~).  The banded parts b b~ - 1 and b~ b - 1 of the one-sided
+    defects are formed in double precision and bounded by _norm_bound, as in
+    bd_invert (an exact monomial inverse has none), and their finite compact
+    parts by computed norms; r >= 1 on the full schedule means the element is
+    not invertible (e.g. a nonzero Fredholm index)."""
     sizes = list(sizes)
     bloch.check_tol(tol)
     if not sizes:
@@ -184,11 +268,18 @@ def bdt_invert(a: BdtElement, tol: float, sizes) -> CertifiedElement:
     cols = sorted({s for (_, s) in k_fin.entries})
     norm_tol = max(min(tol, 1e-9) / 8.0, 1e-14)
     # the symbols of a x and x a are b b~ and b~ b at every truncation size,
-    # so both banded defects and ||b~|| are certified once
-    right_defect = bd_sub(bd_mul(b, binv), bd_one(b.S))
-    left_defect = bd_sub(bd_mul(binv, b), bd_one(b.S))
-    right_norm, left_norm, binv_norm = (
-        _norm_bound(x, norm_tol) for x in (right_defect, left_defect, binv))
+    # so both banded defects and ||b~|| are bounded once; an exact monomial
+    # inverse has none
+    pos = np.arange(math.lcm(b.period, binv.period))
+    x_rows = bd_band_values(binv, pos)
+    right_norm = left_norm = 0.0
+    if sym_cert.residual_bound:
+        b_rows = bd_band_values(b, pos)
+        ns, rows = np.array(list(x_rows)), np.array(list(x_rows.values()))
+        right_norm, left_norm = (
+            _norm_bound(defect, norm_tol, rho) for defect, rho in
+            (_defect_rows(b_rows, ns, rows, b_first) for b_first in (True, False)))
+    binv_norm = _norm_bound(x_rows, norm_tol)
 
     best = None
     for N in sizes:
@@ -247,23 +338,27 @@ def bd_exp(b: BdElement, tol: float, max_band: int) -> CertifiedElement:
     norm_tol = max(tol / 16.0, 1e-14)
     # (2k)/(2G) is the same double as k/G: the even samples are the G-point grid
     fine = _expi(sym.at_many(np.arange(2 * G) / (2 * G)))
-    cand, dropped = _grid_candidate(S, fine[::2], max_band, drop)
-    cand2, dropped2 = _grid_candidate(S, fine, max_band, drop)
-    diff_norm = _norm_bound(bd_sub(cand, cand2), norm_tol)
+    ns1, rows1, dropped = _grid_candidate(fine[::2], max_band, drop)
+    ns2, rows2, dropped2 = _grid_candidate(fine, max_band, drop)
+    # cand - cand2 on bands -max_band..max_band; each difference is rounded
+    # once, so its exact modulus is within 2u of the computed one
+    diff = np.zeros((2 * max_band + 1, l), dtype=complex)
+    diff[ns1 + max_band] = rows1
+    diff[ns2 + max_band] -= rows2
+    diff_norm = _norm_bound(dict(zip(range(-max_band, max_band + 1), diff)), norm_tol,
+                            2.0 * _U * _sup_sum(diff))
     residual = 3.0 * diff_norm + 2.0 * (dropped + dropped2) + 1e-13
     # mass still present in the outermost band shell means the cutoff is
     # active and the uncomputed tail cannot be ignored
-    if cand2.bands:
+    if ns2.size:
         W = max(b.bandwidth, 1)
-        maxn = max(abs(n) for n in cand2.bands)
+        maxn = int(np.abs(ns2).max())
         if maxn >= max_band - W:
-            shell = sum(
-                ulc_sup_norm(f) for n, f in cand2.bands.items() if abs(n) > maxn - W
-            )
+            shell = sum(np.abs(rows2[np.abs(ns2) > maxn - W]).max(axis=1).tolist())
             residual += 4.0 * shell
     if residual > tol:
         raise ToleranceUnreachableError(f"exp residual estimate {residual} above tol {tol}")
-    return CertifiedElement(cand2, residual, "bloch-grid-exp")
+    return CertifiedElement(_wrap(S, ns2, rows2), residual, "bloch-grid-exp")
 
 
 def k_exp(c: CompactMatrix, S: Supernatural | None = None) -> BdtElement:

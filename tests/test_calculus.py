@@ -12,6 +12,7 @@ from bdtk.bd import (
     bd_add,
     bd_adjoint,
     bd_apply,
+    bd_band_values,
     bd_element,
     bd_equal,
     bd_m,
@@ -19,6 +20,7 @@ from bdtk.bd import (
     bd_norm,
     bd_one,
     bd_p_norm,
+    bd_rho,
     bd_scalar,
     bd_scale,
     bd_sub,
@@ -51,6 +53,7 @@ from bdtk.calculus import (
 from bdtk.compact import CompactMatrix, k_scale, k_units
 from bdtk.errors import NotInvertibleError, ToleranceUnreachableError
 from bdtk.scalars import Scalar
+from bdtk.serialize import dumps, encode_element
 from bdtk.ulc import ulc, ulc_eval, ulc_refine
 
 from .oracles import exp_power_series, window_gap
@@ -343,13 +346,14 @@ def test_bdt_invert_reports_its_best_bound_above_tol(S23, sizes):
 
 
 def test_bdt_invert_certifies_each_symbol_norm_once(S23, monkeypatch):
-    # bd_invert makes 2 bd_norm calls at each max_band it tries (12, 24, 48);
-    # bdt_invert then certifies the two defects and ||b~|| once each, not
-    # ||b~|| again at each of the 3 sizes that reach r < 1
-    calls = _spy(monkeypatch, calculus, "bd_norm")
+    # bd_invert certifies the candidate norm at each max_band it tries (12,
+    # 24, 48) and the defect at 12 and 24; at 48 the defect's band sups sum
+    # below tol.  bdt_invert then bounds both defects by their band sups and
+    # certifies ||b~|| once, not again at each of the 3 sizes that reach r < 1
+    calls = _spy(monkeypatch, bloch, "certified_sup_smax")
     with pytest.raises(ToleranceUnreachableError):
         bdt_invert(_t2_plus_vstar(S23), 1e-9, [8, 12, 16])
-    assert len(calls) == 9
+    assert len(calls) == 6
 
 
 def test_bdt_invert_raises_when_the_symbol_inverse_misses_tol(S23):
@@ -379,3 +383,65 @@ def test_bdt_exp_estimate_reaches_tol_and_holds(seed):
         assert residual <= tol
         gap = float(np.linalg.svd(bdt_window_numpy(e, 200) - exact, compute_uv=False)[0])
         assert gap <= residual
+
+
+def test_array_defects_match_the_scalar_oracle():
+    # 40 seeded invertible elements, Gaussian-rational or rotated by an
+    # irrational angle (float-tagged), periods dividing 12, with candidates
+    # read at max_band 4 (defects near 1e-3) to 32 (near round-off)
+    S = cp.DEFAULT_S
+    rng = random.Random(24)
+    thetas = np.arange(4096) / 4096
+    for k in range(40):
+        b, _ = cp.rand_invertible_bd(rng, S)
+        if k % 2:
+            b = bd_rho(b, 0.1234567)
+        l, max_band = b.period, rng.choice([4, 8, 32])
+        b_rows = bd_band_values(b, np.arange(l))
+        G = calculus._candidate_grid(max_band, l)
+        samples = np.linalg.inv(bd_symbol(b).at_many(np.arange(G) / G))
+        ns, rows, _ = calculus._grid_candidate(samples, max_band, 1e-14)
+        x = calculus._wrap(S, ns, rows)
+        # the per-value wrap of earlier versions is the oracle of the one-wrap path
+        old = bd_element(S, {int(n): ulc([Scalar.from_complex(z) for z in vals])
+                             for n, vals in zip(ns, rows)})
+        assert dumps(encode_element(x)) == dumps(encode_element(old))
+        for b_first in (True, False):
+            defect, rho = calculus._defect_rows(b_rows, ns, rows, b_first)
+            exact = bd_sub(bd_mul(b, x) if b_first else bd_mul(x, b), bd_one(S))
+            want = bd_band_values(exact, np.arange(l))
+            err = sum(float(np.abs(defect.get(n, 0) - want.get(n, 0)).max())
+                      for n in defect.keys() | want.keys())
+            assert err <= rho
+            # a tol above the band-sup sum returns the sum itself
+            s = calculus._norm_bound(defect, math.inf, rho)
+            grid = np.linalg.svd(bd_symbol(exact).at_many(thetas), compute_uv=False)[:, 0]
+            assert s >= grid.max()
+
+
+def test_bd_exp_wraps_only_the_returned_values(monkeypatch):
+    rng = random.Random(5)
+    b = cp.rand_selfadjoint_bd(rng, cp.DEFAULT_S, n_bands=2, top=4)
+    reach = calculus.exp_band_reach(b)
+    real = Scalar.from_complex
+    calls = []
+
+    def spy(z):
+        calls.append(z)
+        return real(z)
+
+    monkeypatch.setattr(Scalar, "from_complex", staticmethod(spy))
+    cert = bd_exp(b, 1e-8, reach)
+    assert len(calls) == sum(len(f.values) for f in cert.value.bands.values()) > 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_bd_invert_with_a_tiny_defect_certifies_only_the_candidate_norm(S23, seed, monkeypatch):
+    # 2 + V/2 + (seeded perturbations): at max_band 64 the defect's band sups
+    # sum far below the defect tolerance, so its norm is not certified
+    rng = random.Random(seed)
+    b = bd_add(bd_scalar(S23, 2), bd_scale(Fraction(1, 2), bd_v(S23, 1)))
+    b = bd_add(b, bd_m(S23, ulc([Fraction(rng.randint(-4, 4), 16) for _ in range(6)])))
+    calls = _spy(monkeypatch, bloch, "certified_sup_smax")
+    bd_invert(b, 1e-8, 64)
+    assert [args[1] for args in calls] == [1e-8]
