@@ -119,13 +119,6 @@ def _wrap(S: Supernatural, ns: np.ndarray, rows: np.ndarray) -> BdElement:
                           for n, row, d in zip(ns.tolist(), rows, _min_periods(rows).tolist())})
 
 
-def _gamma(k: int) -> float:
-    """gamma_k = k u / (1 - k u) for the unit roundoff u = 2^-53 (Higham,
-    Accuracy and Stability of Numerical Algorithms, 2nd ed., sec. 3.1)."""
-    ku = k * _U
-    return ku / (1.0 - ku)
-
-
 def _sup_sum(rows: np.ndarray) -> float:
     """sum_n sup|rows[n]| over the rows of a (k, l) array, rounded up: each
     computed sup is within one ulp (hypot), and fsum rounds once."""
@@ -141,10 +134,12 @@ def _defect_rows(b_rows: dict[int, np.ndarray], ns: np.ndarray, rows: np.ndarray
     The band rule (V^n m_f)(V^m m_g) = V^{n+m} m_{(f o phi^m) g} takes one
     gather per band of b.  Each entry sums at most K = len(b_rows) complex
     products, then subtracts the 1, so its error is at most
-    sqrt(2) gamma_{K+2} (sum |f||g| + 1) (Higham, sec. 3.1 and 3.6; the
-    bound holds with FMA too).  Two more units of u let each factor carry the
-    relative error u of its conversion to double, which holds for
-    float-tagged and Gaussian-rational values.  Summed over the bands this is
+    sqrt(2) gamma_{K+2} (sum |f||g| + 1), gamma_k = k u / (1 - k u) for the
+    unit roundoff u (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., sec. 3.1 and 3.6; the bound holds with FMA too).  Two more units
+    of u let each factor carry the relative error u of its conversion to
+    double, which holds for float-tagged and Gaussian-rational values.
+    Summed over the bands this is
     rho = sqrt(2) gamma_{K+4} (sum_n sup|f_n| sum_i sup|rows_i| + 1)."""
     l = rows.shape[1]
     r = np.arange(l)
@@ -157,7 +152,8 @@ def _defect_rows(b_rows: dict[int, np.ndarray], ns: np.ndarray, rows: np.ndarray
             out[ns + n - lo] += rows[:, (n + r) % l] * f
     out[-lo] -= 1.0
     mass = sum(float(np.abs(f).max()) for f in b_rows.values()) * _sup_sum(rows)
-    rho = math.sqrt(2.0) * _gamma(len(b_rows) + 4) * (mass + 1.0)
+    ku = (len(b_rows) + 4) * _U
+    rho = math.sqrt(2.0) * ku / (1.0 - ku) * (mass + 1.0)
     return {k + lo: row for k, row in enumerate(out)}, rho
 
 
