@@ -144,7 +144,8 @@ def _defect_rows(b_rows: dict[int, np.ndarray], ns: np.ndarray, rows: np.ndarray
     l = rows.shape[1]
     r = np.arange(l)
     lo = min(0, min(b_rows) + int(ns.min(initial=0)))
-    out = np.zeros((max(0, max(b_rows) + int(ns.max(initial=0))) - lo + 1, l), dtype=complex)
+    hi = max(0, max(b_rows) + int(ns.max(initial=0)))
+    out = np.zeros((hi - lo + 1, l), dtype=complex)
     for n, f in b_rows.items():
         if b_first:
             out[ns + n - lo] += f[(ns[:, None] + r) % l] * rows
