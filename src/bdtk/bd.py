@@ -132,7 +132,7 @@ def bd_adjoint(b: BdElement) -> BdElement:
 
 def bd_delta_L(b: BdElement) -> BdElement:
     """The band derivation: delta_L(V^n m_f) = n V^n m_f."""
-    return bd_element(b.S, {n: ulc_scale(n, f) for n, f in b.bands.items()})
+    return bd_delta_L_power(b, 1)
 
 
 def bd_delta_L_power(b: BdElement, j: int) -> BdElement:

@@ -8,7 +8,9 @@ r = ||a x - 1|| < 1 (and the mirror-image bound) one gets
 until one is returned.  The banded defect is formed in double precision from
 the exact b and the float candidate by the band rule, and bounded by the sum
 of its band sups plus the rounding bound rho of forming it (_norm_bound), or
-by a certified symbol norm when that sum exceeds the tolerance.  Exponentials
+by a certified symbol norm when that sum exceeds the tolerance and two or
+more bands are nonzero.  Each symbol is inverted once, by _invert_symbol,
+whose bounds on ||b~|| and ||b b~ - 1|| bdt_invert reuses.  Exponentials
 are built on the symbol side (pointwise spectral exponential on a
 roots-of-unity grid, inverse DFT to bands) with a grid-doubling plus band-tail
 residual estimate; power-series and block oracles in the test suite keep
@@ -164,7 +166,8 @@ def _norm_bound(rows: dict[int, np.ndarray], tol: float, rho: float = 0.0) -> fl
     the sup errors).
 
     ||V^n m_f|| = sup|f|, so s = sum_n sup|f_n| + rho >= ||x|| by the triangle
-    inequality, and s is returned when s <= tol.  Otherwise the norm of the
+    inequality, and s is returned when s <= tol or when one band is nonzero
+    (then s is the norm, up to rho and rounding).  Otherwise the norm of the
     rows, on the symbol at the lcm of their least periods, is certified
     within tol, and that value plus tol plus rho is returned."""
     rows = {n: f for n, f in rows.items() if f.any()}
@@ -172,7 +175,7 @@ def _norm_bound(rows: dict[int, np.ndarray], tol: float, rho: float = 0.0) -> fl
         return rho
     stack = np.array(list(rows.values()))
     s = (_sup_sum(stack) + rho) * (1.0 + 2.0 * _U)
-    if s <= tol:
+    if s <= tol or len(rows) == 1:
         return s
     l = math.lcm(*_min_periods(stack).tolist())
     sym = bloch.symbol_from_bands(l, {n: f[:l] for n, f in rows.items()})
@@ -187,60 +190,69 @@ def _dense_to_compact(M: np.ndarray, rows, cols, floor: float) -> CompactMatrix:
                           for i, j in zip(ii, jj)})
 
 
-def bd_invert(b: BdElement, tol: float, max_band: int) -> CertifiedElement:
-    """Certified approximate inverse of an invertible band element.
+def _invert_symbol(b: BdElement, tol: float, budgets):
+    """The first candidate inverse of b within tol over the band budgets, with
+    upper bounds on ||b~|| and on r = ||b b~ - 1||, and the band rows of b
+    and b~ over b's period (None for an exact monomial, whose defects are 0).
 
-    The Bloch symbol is inverted pointwise on a roots-of-unity grid and
-    transformed back to bands truncated at max_band.  The defect b b~ - 1 is
-    formed in double precision from the exact b and the float b~, and its
-    norm r is bounded by _norm_bound (the band-sup sum plus rho, or a
-    certified norm when that sum exceeds the tolerance), giving
+    The symbol is built and its invertibility certified once; each budget
+    max_band inverts it on a roots-of-unity grid and reads back bands
+    |n| <= max_band.  The defect b b~ - 1 is formed in double precision from
+    the exact b and the float b~ and bounded by _norm_bound, giving
     ||b^{-1} - b~|| <= ||b~|| r / (1 - r)."""
-    bloch.check_tol(tol)
-    if max_band < 1:
-        raise ValueError("max_band must be positive")
     if b.is_zero():
         raise NotInvertibleError("zero element")
     if len(b.bands) == 1 and b.is_exact:
         # exact monomial inverse: (V^n m_f)^{-1} = V^{-n} m_{1/(f o phi^{-n})}
         ((n, f),) = b.bands.items()
         if all(not v.is_zero() for v in f.values):
-            shifted = ulc_shift(f, -n)
-            g = ulc([v.inverse() for v in shifted.values])
-            return CertifiedElement(
-                bd_element(b.S, {-n: g}), 0.0, "exact-monomial-inverse"
-            )
+            x = bd_element(b.S, {-n: ulc([v.inverse() for v in ulc_shift(f, -n).values])})
+            nrm = _norm_bound(bd_band_values(x, np.arange(b.period)), 1e-8)
+            return CertifiedElement(x, 0.0, "exact-monomial-inverse"), nrm, 0.0, None
     sym = bd_symbol(b)
     bloch.det_winding(sym)  # certifies invertibility; the count is not needed
     l = b.period
-    G = _candidate_grid(max_band, l)
-    samples = np.linalg.inv(sym.at_many(np.arange(G) / G))
-    ns, rows, _ = _grid_candidate(samples, max_band, tol / (4.0 * max_band))
-    nrm = _norm_bound(dict(zip(ns.tolist(), rows)), 1e-8)
-    # the certificate floor is ||cand|| * (defect-norm tolerance), so the
-    # tolerance must shrink with the candidate's size
-    norm_tol = max(min(tol, 1e-9) / (8.0 * max(1.0, nrm)), 1e-15)
-    defect, rho = _defect_rows(bd_band_values(b, np.arange(l)), ns, rows, True)
-    r = _norm_bound(defect, norm_tol, rho)
-    bound = nrm * r / (1.0 - r) if r < 1.0 else math.inf
-    if bound > tol:
-        raise ToleranceUnreachableError(
-            f"residual bound {bound} (defect norm {r}) above tol {tol} at max_band {max_band}"
-        )
-    return CertifiedElement(_wrap(b.S, ns, rows), bound, "bloch-symbol-inverse")
+    b_rows = bd_band_values(b, np.arange(l))
+    for max_band in budgets:
+        G = _candidate_grid(max_band, l)
+        samples = np.linalg.inv(sym.at_many(np.arange(G) / G))
+        ns, rows, _ = _grid_candidate(samples, max_band, tol / (4.0 * max_band))
+        nrm = _norm_bound(dict(zip(ns.tolist(), rows)), 1e-8)
+        # the certificate floor is ||cand|| * (defect-norm tolerance), so the
+        # tolerance must shrink with the candidate's size
+        norm_tol = max(min(tol, 1e-9) / (8.0 * max(1.0, nrm)), 1e-15)
+        defect, rho = _defect_rows(b_rows, ns, rows, True)
+        r = _norm_bound(defect, norm_tol, rho)
+        bound = nrm * r / (1.0 - r) if r < 1.0 else math.inf
+        if bound <= tol:
+            cert = CertifiedElement(_wrap(b.S, ns, rows), bound, "bloch-symbol-inverse")
+            return cert, nrm, r, (b_rows, ns, rows)
+    raise ToleranceUnreachableError(
+        f"residual bound {bound} (defect norm {r}) above tol {tol} at max_band {max_band}"
+    )
+
+
+def bd_invert(b: BdElement, tol: float, max_band: int) -> CertifiedElement:
+    """Certified approximate inverse of an invertible band element: the
+    candidate of _invert_symbol at the one band budget max_band."""
+    bloch.check_tol(tol)
+    if max_band < 1:
+        raise ValueError("max_band must be positive")
+    return _invert_symbol(b, tol, [max_band])[0]
 
 
 def bdt_invert(a: BdtElement, tol: float, sizes) -> CertifiedElement:
     """Certified inverse in canonical form T(b^{-1}) + c~.
 
-    b^{-1} comes from bd_invert; the compact part solves truncated linear
-    systems A_N u = k_fin column by column on the growing schedule, where
+    b~ comes from _invert_symbol at band budgets m, 2m and 4m, with its bounds
+    on ||b~|| and on the banded part b b~ - 1 of the right defect; the left
+    one, b~ b - 1, is formed the same way here (an exact monomial inverse has
+    neither).  The compact part solves truncated linear systems A_N u = k_fin
+    column by column on the growing schedule, where
     k_fin = correction(b, b~) + c T(b~) is the exactly computed finite defect
-    of T(b~).  The banded parts b b~ - 1 and b~ b - 1 of the one-sided
-    defects are formed in double precision and bounded by _norm_bound, as in
-    bd_invert (an exact monomial inverse has none), and their finite compact
-    parts by computed norms; r >= 1 on the full schedule means the element is
-    not invertible (e.g. a nonzero Fredholm index)."""
+    of T(b~), and the finite compact parts of the defects are bounded by
+    computed norms; r >= 1 on the full schedule means the element is not
+    invertible (e.g. a nonzero Fredholm index)."""
     sizes = list(sizes)
     bloch.check_tol(tol)
     if not sizes:
@@ -248,35 +260,23 @@ def bdt_invert(a: BdtElement, tol: float, sizes) -> CertifiedElement:
     if min(sizes) < 1:
         raise ValueError(f"truncation sizes must be >= 1, got {min(sizes)}")
     b, c = a.symbol, a.compact
-    max_band = max(8, 4 * b.bandwidth + 8)
-    sym_tol = min(tol, 1e-8) / 4.0
-    sym_cert = None
-    for _ in range(3):
-        try:
-            sym_cert = bd_invert(b, sym_tol, max_band)
-            break
-        except ToleranceUnreachableError:
-            max_band *= 2
-    if sym_cert is None:
-        raise ToleranceUnreachableError("symbol inverse did not reach tolerance")
+    m = max(8, 4 * b.bandwidth + 8)
+    try:
+        sym_cert, binv_norm, right_norm, parts = _invert_symbol(
+            b, min(tol, 1e-8) / 4.0, [m, 2 * m, 4 * m])
+    except ToleranceUnreachableError as e:
+        raise ToleranceUnreachableError("symbol inverse did not reach tolerance") from e
     binv = sym_cert.value
 
     k_fin = k_add(correction(b, binv), compact_times_toeplitz(c, binv))
     cols = sorted({s for (_, s) in k_fin.entries})
-    norm_tol = max(min(tol, 1e-9) / 8.0, 1e-14)
     # the symbols of a x and x a are b b~ and b~ b at every truncation size,
-    # so both banded defects and ||b~|| are bounded once; an exact monomial
-    # inverse has none
-    pos = np.arange(math.lcm(b.period, binv.period))
-    x_rows = bd_band_values(binv, pos)
-    right_norm = left_norm = 0.0
-    if sym_cert.residual_bound:
-        b_rows = bd_band_values(b, pos)
-        ns, rows = np.array(list(x_rows)), np.array(list(x_rows.values()))
-        right_norm, left_norm = (
-            _norm_bound(defect, norm_tol, rho) for defect, rho in
-            (_defect_rows(b_rows, ns, rows, b_first) for b_first in (True, False)))
-    binv_norm = _norm_bound(x_rows, norm_tol)
+    # so both banded defects are bounded once
+    norm_tol = max(min(tol, 1e-9) / 8.0, 1e-14)
+    left_norm = 0.0
+    if parts:
+        defect, rho = _defect_rows(*parts, False)
+        left_norm = _norm_bound(defect, norm_tol, rho)
 
     best = None
     for N in sizes:

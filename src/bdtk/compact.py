@@ -56,7 +56,7 @@ def k_scale(z, c: CompactMatrix) -> CompactMatrix:
 
 def k_dK(c: CompactMatrix) -> CompactMatrix:
     """The derivation [K, .]: entry (k, s) picks up the factor (k - s)."""
-    return CompactMatrix({(k, s): (k - s) * v for (k, s), v in c.entries.items()})
+    return k_dK_power(c, 1)
 
 
 def k_dK_power(c: CompactMatrix, j: int) -> CompactMatrix:

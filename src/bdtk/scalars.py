@@ -374,7 +374,6 @@ def _root_complex(n: int, k: int) -> complex:
 
 ZERO = Scalar.from_int(0)
 ONE = Scalar.from_int(1)
-I = Scalar.from_fraction(0, 1)
 
 
 def rational_angle(theta) -> Fraction | None:

@@ -291,11 +291,14 @@ def test_bd_invert_builds_one_candidate(S23, monkeypatch):
 
 def test_bdt_invert_widens_the_symbol_inverse(S23, monkeypatch):
     # the first band budgets of T(2 + V) fall short: bdt_invert doubles
-    # max_band until bd_invert certifies
-    calls = _spy(monkeypatch, calculus, "bd_invert")
+    # max_band until the symbol inverse certifies, on one symbol whose
+    # invertibility is certified once
+    budgets = _spy(monkeypatch, calculus, "_candidate_grid")
+    windings = _spy(monkeypatch, bloch, "det_winding")
     cert = bdt_invert(toeplitz(bd_add(bd_scalar(S23, 2), bd_v(S23, 1))), 1e-8, [64, 128, 256])
     assert cert.residual_bound <= 1e-8
-    assert [args[2] for args in calls] == [12, 24, 48]
+    assert [args[0] for args in budgets] == [12, 24, 48]
+    assert len(windings) == 1
 
 
 def test_bd_exp_builds_one_grid(monkeypatch):
@@ -346,14 +349,15 @@ def test_bdt_invert_reports_its_best_bound_above_tol(S23, sizes):
 
 
 def test_bdt_invert_certifies_each_symbol_norm_once(S23, monkeypatch):
-    # bd_invert certifies the candidate norm at each max_band it tries (12,
-    # 24, 48) and the defect at 12 and 24; at 48 the defect's band sups sum
-    # below tol.  bdt_invert then bounds both defects by their band sups and
-    # certifies ||b~|| once, not again at each of the 3 sizes that reach r < 1
+    # the symbol inverse certifies the candidate norm at each max_band it
+    # tries (12, 24, 48) and the defect at 12 and 24; at 48 the defect's band
+    # sups sum below tol.  bdt_invert bounds the left defect by its band sups
+    # and reuses the bounds on ||b~|| and the right defect, certifying
+    # neither again, at any of the 3 sizes that reach r < 1
     calls = _spy(monkeypatch, bloch, "certified_sup_smax")
     with pytest.raises(ToleranceUnreachableError):
         bdt_invert(_t2_plus_vstar(S23), 1e-9, [8, 12, 16])
-    assert len(calls) == 6
+    assert len(calls) == 5
 
 
 def test_bdt_invert_raises_when_the_symbol_inverse_misses_tol(S23):
@@ -417,6 +421,25 @@ def test_array_defects_match_the_scalar_oracle():
             s = calculus._norm_bound(defect, math.inf, rho)
             grid = np.linalg.svd(bd_symbol(exact).at_many(thetas), compute_uv=False)[:, 0]
             assert s >= grid.max()
+
+
+@pytest.mark.parametrize("l", [1, 3, 12])
+def test_norm_bound_of_one_band_is_its_sup(l, monkeypatch):
+    # ||V^n m_f|| = sup|f|: the bound on a float-tagged monomial is its band
+    # sup, certified by no symbol norm.  It is at least the exact sup of the
+    # doubles and within 8u of the largest sigma_max on 4,096 angles,
+    # relatively; the SVD itself overshoots the exact sup by up to 7.6u here
+    calls = _spy(monkeypatch, bloch, "certified_sup_smax")
+    rng = random.Random(l)
+    for n in (-2, 1, 5):
+        zs = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(l)]
+        b = bd_element(cp.DEFAULT_S, {n: ulc([Scalar.from_complex(z) for z in zs])})
+        s = calculus._norm_bound(bd_band_values(b, np.arange(l)), 1e-12)
+        assert all(Fraction(z.real) ** 2 + Fraction(z.imag) ** 2 <= Fraction(s) ** 2 for z in zs)
+        thetas = np.arange(4096) / 4096
+        top = float(np.linalg.svd(bd_symbol(b).at_many(thetas), compute_uv=False)[:, 0].max())
+        assert abs(s - top) <= 8.0 * calculus._U * top
+    assert not calls
 
 
 def test_bd_exp_wraps_only_the_returned_values(monkeypatch):
