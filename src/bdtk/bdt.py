@@ -165,19 +165,14 @@ def compact_times_toeplitz(c: CompactMatrix, b: BdElement) -> CompactMatrix:
     return CompactMatrix(ent)
 
 
-def bdt_mul_compact(a1: BdtElement, a2: BdtElement) -> CompactMatrix:
-    """The compact part of the product a1 a2, exact."""
+def bdt_mul(a1: BdtElement, a2: BdtElement) -> BdtElement:
+    """Exact product in canonical form."""
     b1, c1 = a1.symbol, a1.compact
     b2, c2 = a2.symbol, a2.compact
     comp = correction(b1, b2)
     comp = k_add(comp, toeplitz_times_compact(b1, c2))
     comp = k_add(comp, compact_times_toeplitz(c1, b2))
-    return k_add(comp, k_mul(c1, c2))
-
-
-def bdt_mul(a1: BdtElement, a2: BdtElement) -> BdtElement:
-    """Exact product in canonical form."""
-    return BdtElement(bd_mul(a1.symbol, a2.symbol), bdt_mul_compact(a1, a2))
+    return BdtElement(bd_mul(b1, b2), k_add(comp, k_mul(c1, c2)))
 
 
 def bdt_dK(a: BdtElement) -> BdtElement:

@@ -4,18 +4,14 @@ calculus.
 Approximate operations return a CertifiedElement carrying a residual bound in
 operator norm.  Inverses are verified a posteriori: from a candidate x with
 r = ||a x - 1|| < 1 (and the mirror-image bound) one gets
-||a^{-1} - x|| <= ||x|| r / (1 - r).  The candidates stay numpy band rows
-until one is returned.  The banded defect is formed in double precision from
-the exact b and the float candidate by the band rule, and bounded by the sum
-of its band sups plus the rounding bound rho of forming it (_norm_bound), or
-by a certified symbol norm when that sum exceeds the tolerance and two or
-more bands are nonzero.  Each symbol is inverted once, by _invert_symbol,
-whose bounds on ||b~|| and ||b b~ - 1|| bdt_invert reuses.  Exponentials
-are built on the symbol side (pointwise spectral exponential on a
-roots-of-unity grid, inverse DFT to bands) with a grid-doubling plus band-tail
-residual estimate; power-series and block oracles in the test suite keep
-those estimates honest.
-"""
+||a^{-1} - x|| <= ||x|| r / (1 - r).  Each symbol is inverted once, into numpy
+band rows whose defects are bounded by their band sups plus a rounding bound,
+or by a certified symbol norm (_norm_bound); bdt_invert's compact part is a
+dense block whose finite defects are bounded by their Frobenius norms plus a
+rounding bound (_compact_solves).  Exponentials are built on the symbol side
+(pointwise spectral exponential on a roots-of-unity grid, inverse DFT to
+bands) with a grid-doubling plus band-tail residual estimate; power-series
+and block oracles in the test suite keep those estimates honest."""
 
 from __future__ import annotations
 
@@ -43,15 +39,15 @@ from .bdt import (
     bdt,
     bdt_add,
     bdt_is_selfadjoint,
-    bdt_mul_compact,
     bdt_one,
     bdt_scale,
     bdt_window_numpy,
     compact_times_toeplitz,
     correction,
     toeplitz,
+    toeplitz_times_compact,
 )
-from .compact import CompactMatrix, k_add, k_dK_power, k_mn_norm, k_zero
+from .compact import CompactMatrix, k_add, k_dK_power, k_mn_norm
 from .errors import NotInvertibleError, ToleranceUnreachableError
 from .scalars import Scalar
 from .ulc import UlcFunction, ulc, ulc_shift, ulc_sup_norm
@@ -127,6 +123,11 @@ def _sup_sum(rows: np.ndarray) -> float:
     return math.fsum(np.abs(rows).max(axis=1, initial=0.0).tolist()) * (1.0 + 4.0 * _U)
 
 
+def _frobenius(M: np.ndarray) -> float:
+    """||M||_F >= ||M||_2, rounded up past the gamma_{2m} error of summing 2m = 2 M.size squares."""
+    return float(np.linalg.norm(M)) * (1.0 + 2.0 * (M.size + 4) * _U)
+
+
 def _defect_rows(b_rows: dict[int, np.ndarray], ns: np.ndarray, rows: np.ndarray,
                  b_first: bool) -> tuple[dict[int, np.ndarray], float]:
     """The band rows of b x - 1 (b_first) or x b - 1, for b with the rows
@@ -169,7 +170,7 @@ def _norm_bound(rows: dict[int, np.ndarray], tol: float, rho: float = 0.0) -> fl
     inequality, and s is returned when s <= tol or when one band is nonzero
     (then s is the norm, up to rho and rounding).  Otherwise the norm of the
     rows, on the symbol at the lcm of their least periods, is certified
-    within tol, and that value plus tol plus rho is returned."""
+    within tol; the smaller of s and that value plus tol plus rho is returned."""
     rows = {n: f for n, f in rows.items() if f.any()}
     if not rows:
         return rho
@@ -179,7 +180,7 @@ def _norm_bound(rows: dict[int, np.ndarray], tol: float, rho: float = 0.0) -> fl
         return s
     l = math.lcm(*_min_periods(stack).tolist())
     sym = bloch.symbol_from_bands(l, {n: f[:l] for n, f in rows.items()})
-    return bloch.certified_sup_smax(sym, tol) + tol + rho
+    return min(s, bloch.certified_sup_smax(sym, tol) + tol + rho)
 
 
 def _dense_to_compact(M: np.ndarray, rows, cols, floor: float) -> CompactMatrix:
@@ -241,59 +242,78 @@ def bd_invert(b: BdElement, tol: float, max_band: int) -> CertifiedElement:
     return _invert_symbol(b, tol, [max_band])[0]
 
 
+def _compact_solves(a: BdtElement, binv: BdElement, xi: float, sizes):
+    """Per size N: the block C of x = T(b~) + C inverting a = T(b) + c, its columns
+    cols, the computed finite parts R (on cols) and L of a x - 1 and x a - 1, and
+    err >= the Frobenius norm of their rounding errors.
+
+    K_r = correction(b, b~) + c T(b~) and K_l = correction(b~, b) + T(b~) c are
+    formed once: a x - 1 = T(b b~ - 1) + K_r + a C, x a - 1 = T(b~ b - 1) + K_l + C a.
+    C = -A_N^+ K_r keeps N - 2 max(w, 1) rows (w the bandwidth of b) and its entries
+    above 1e-15; the window A of a, of size W, holds every entry of R and L.  Each
+    sums k <= (|b| + 1)|b~| + W products (|.| counting bands), so is off by at most
+    sqrt(2) gamma_{k+6} times their moduli sum (as in _defect_rows; four units of u
+    cover a's values, converted and added to c, and mu's rounding).  These sums form
+    |H_b||H_b~| + |c||T(b~)| + |A||C| or its mirror, H the Hankel corners (at most w
+    values a band).  As ||XY||_F <= ||X||_2 ||Y||_F and the band-sup sums beta of b
+    and xi of b~ bound their operators of moduli, that has Frobenius norm at most
+    mu = (sqrt(w) beta + kappa) xi + (beta + kappa) ||C||_F, kappa = ||c||_F."""
+    b, c, w = a.symbol, a.compact, a.symbol.bandwidth
+    K_r = k_add(correction(b, binv), compact_times_toeplitz(c, binv))
+    K_l = k_add(correction(binv, b), toeplitz_times_compact(binv, c))
+    cols = sorted({s for (_, s) in K_r.entries})
+    kw = max(K_r.support_bound(), K_l.support_bound(), c.support_bound())
+    Kr, Kl, Kc = (k.to_numpy(range(kw), range(kw)) for k in (K_r, K_l, c))
+    beta = _sup_sum(np.array(list(bd_band_values(b, np.arange(b.period)).values())))
+    kappa = _frobenius(Kc)
+    for N in sizes:
+        W = max(N, kw) + w
+        A = bdt_window_numpy(a, W)
+        R, L = np.pad(Kr[:, cols], ((0, W - kw), (0, 0))), np.pad(Kl, (0, W - kw))
+        keep = max(N - 2 * max(w, 1), 0)
+        C = -np.linalg.lstsq(A[:N, :N], R[:N], rcond=None)[0][:keep]
+        C[np.abs(C) <= 1e-15] = 0.0
+        R += A[:, :keep] @ C
+        L[:keep] += C @ A[cols]
+        ku = ((len(b.bands) + 1) * len(binv.bands) + W + 6) * _U
+        mu = (math.sqrt(w) * beta + kappa) * xi + (beta + kappa) * _frobenius(C)
+        yield C, cols, R, L, math.sqrt(2.0) * ku / (1.0 - ku) * mu
+
+
 def bdt_invert(a: BdtElement, tol: float, sizes) -> CertifiedElement:
     """Certified inverse in canonical form T(b^{-1}) + c~.
 
     b~ comes from _invert_symbol at band budgets m, 2m and 4m, with its bounds
     on ||b~|| and on the banded part b b~ - 1 of the right defect; the left
     one, b~ b - 1, is formed the same way here (an exact monomial inverse has
-    neither).  The compact part solves truncated linear systems A_N u = k_fin
-    column by column on the growing schedule, where
-    k_fin = correction(b, b~) + c T(b~) is the exactly computed finite defect
-    of T(b~), and the finite compact parts of the defects are bounded by
-    computed norms; r >= 1 on the full schedule means the element is not
-    invertible (e.g. a nonzero Fredholm index)."""
+    neither).  r = ||a x - 1|| <= ||b b~ - 1|| + ||R||_F + err, mirrored for
+    x a - 1, and ||x|| <= ||b~|| + ||C||_F (_compact_solves); c~ is the first C
+    whose bound reaches tol, and r >= 1 throughout means a is not invertible."""
     sizes = list(sizes)
     bloch.check_tol(tol)
     if not sizes:
         raise ValueError("need at least one truncation size")
     if min(sizes) < 1:
         raise ValueError(f"truncation sizes must be >= 1, got {min(sizes)}")
-    b, c = a.symbol, a.compact
-    m = max(8, 4 * b.bandwidth + 8)
+    m = max(8, 4 * a.symbol.bandwidth + 8)
     try:
         sym_cert, binv_norm, right_norm, parts = _invert_symbol(
-            b, min(tol, 1e-8) / 4.0, [m, 2 * m, 4 * m])
+            a.symbol, min(tol, 1e-8) / 4.0, [m, 2 * m, 4 * m])
     except ToleranceUnreachableError as e:
         raise ToleranceUnreachableError("symbol inverse did not reach tolerance") from e
-    binv = sym_cert.value
-
-    k_fin = k_add(correction(b, binv), compact_times_toeplitz(c, binv))
-    cols = sorted({s for (_, s) in k_fin.entries})
-    # the symbols of a x and x a are b b~ and b~ b at every truncation size,
-    # so both banded defects are bounded once
-    norm_tol = max(min(tol, 1e-9) / 8.0, 1e-14)
-    left_norm = 0.0
+    # both banded defects hold at every size; a one-band b~ has xi = ||b~||
+    left_norm, xi = 0.0, binv_norm
     if parts:
         defect, rho = _defect_rows(*parts, False)
-        left_norm = _norm_bound(defect, norm_tol, rho)
-
+        left_norm = _norm_bound(defect, max(min(tol, 1e-9) / 8.0, 1e-14), rho)
+        xi = _sup_sum(parts[2])
     best = None
-    for N in sizes:
-        ctilde = k_zero()
-        if cols:
-            A_N = bdt_window_numpy(a, N)
-            rhs = k_fin.to_numpy(range(N), range(cols[-1] + 1))[:, cols]
-            sol, *_ = np.linalg.lstsq(A_N, rhs, rcond=None)
-            keep = N - 2 * max(b.bandwidth, 1)
-            ctilde = _dense_to_compact(-sol, range(keep), cols, 1e-15)
-        x = bdt(binv, ctilde)
-        # ||a x - 1|| <= certified banded part + norm of the finite compact part
-        r = max(right_norm + bdt_mul_compact(a, x).smax(),
-                left_norm + bdt_mul_compact(x, a).smax())
+    for C, cols, R, L, err in _compact_solves(a, sym_cert.value, xi, sizes):
+        r = max(right_norm + _frobenius(R), left_norm + _frobenius(L)) + err
         if r < 1.0:
-            bound = (binv_norm + ctilde.smax()) * r / (1.0 - r)
+            bound = (binv_norm + _frobenius(C)) * r / (1.0 - r)
             if bound <= tol:
+                x = bdt(sym_cert.value, _dense_to_compact(C, range(len(C)), cols, 0.0))
                 return CertifiedElement(x, bound, "symbol-inverse+truncated-solve")
             best = bound if best is None else min(best, bound)
     if best is not None:

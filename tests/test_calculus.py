@@ -1,3 +1,4 @@
+import importlib
 import math
 import random
 from fractions import Fraction
@@ -29,6 +30,7 @@ from bdtk.bd import (
     bd_zero,
 )
 from bdtk.bdt import (
+    bdt,
     bdt_add,
     bdt_equal,
     bdt_from_compact,
@@ -50,13 +52,17 @@ from bdtk.calculus import (
     k_exp,
     smooth_calc,
 )
-from bdtk.compact import CompactMatrix, k_scale, k_units
+from bdtk.compact import CompactMatrix, k_add, k_adjoint, k_scale, k_units
 from bdtk.errors import NotInvertibleError, ToleranceUnreachableError
 from bdtk.scalars import Scalar
 from bdtk.serialize import dumps, encode_element
-from bdtk.ulc import ulc, ulc_eval, ulc_refine
+from bdtk.sparse import ScalarMatrix
+from bdtk.ulc import ulc, ulc_eval, ulc_refine, ulc_sup_norm
 
 from .oracles import exp_power_series, window_gap
+
+# the package exports the function bdt under the submodule's name
+bdt_module = importlib.import_module("bdtk.bdt")
 
 
 def test_invert_shift_exact(S23):
@@ -468,3 +474,112 @@ def test_bd_invert_with_a_tiny_defect_certifies_only_the_candidate_norm(S23, see
     calls = _spy(monkeypatch, bloch, "certified_sup_smax")
     bd_invert(b, 1e-8, 64)
     assert [args[1] for args in calls] == [1e-8]
+
+
+def test_norm_bound_returns_the_band_sup_sum_when_it_is_smaller(monkeypatch):
+    # two or three seeded bands whose sup sum lies just above tol: the norm is
+    # certified, but the sum is the smaller bound and is returned
+    calls = _spy(monkeypatch, bloch, "certified_sup_smax")
+    rng = np.random.default_rng(26)
+    thetas = np.arange(4096) / 4096
+    for k in range(6):
+        rows = {n: rng.normal(size=3) + 1j * rng.normal(size=3) for n in range(-1, 1 + k % 2)}
+        total = math.fsum(float(np.abs(f).max()) for f in rows.values())
+        got = calculus._norm_bound(rows, total * (1.0 - 1e-3))
+        assert len(calls) == k + 1
+        assert got <= total * (1.0 + 8.0 * calculus._U)
+        sym = bloch.symbol_from_bands(3, rows)
+        assert got >= np.linalg.svd(sym.at_many(thetas), compute_uv=False)[:, 0].max()
+
+
+def test_bdt_invert_forms_each_finite_defect_once(S23, monkeypatch):
+    # the finite defects' Scalar parts are formed once per call, not at each
+    # of the sizes 8, 12 and 16, and no compact norm is an SVD; correction is
+    # counted wherever it is called from
+    corrections = _spy(monkeypatch, bdt_module, "correction")
+    monkeypatch.setattr(calculus, "correction", bdt_module.correction)
+    smax = _spy(monkeypatch, ScalarMatrix, "smax")
+    with pytest.raises(ToleranceUnreachableError):
+        bdt_invert(_t2_plus_vstar(S23), 1e-9, [8, 12, 16])
+    assert len(corrections) == 2
+    assert not smax
+
+
+def _read_exact(v: Scalar) -> Scalar:
+    """A float-tagged value read as the exact Gaussian rational it stores."""
+    if v.is_exact:
+        return v
+    z = v.to_complex()
+    return Scalar.from_fraction(Fraction(z.real), Fraction(z.imag))
+
+
+def _solve_cases():
+    # the inversion suite's recipe (index 0 by construction), some draws an
+    # exact monomial; then 5/4 m_f + c, an exact monomial whose inverse is
+    # exact, so that the whole residual rests on the compact part
+    S = cp.DEFAULT_S
+    rng = random.Random(27)
+    cases = []
+    for _ in range(6):
+        b, w = cp.rand_invertible_bd(rng, S)
+        small = cp.rand_compact(rng, nnz=rng.randint(1, 4), top=2)
+        cases.append(bdt(b if w == 0 else bd_mul(bd_adjoint(b), b),
+                         k_scale(Fraction(1, 256), k_add(small, k_adjoint(small)))))
+    f = ulc([Fraction(5, 4), Scalar.from_fraction(Fraction(-3, 2), Fraction(1, 2)), Fraction(2)])
+    cases.append(bdt(bd_m(S, f), k_scale(Fraction(1, 8), k_units(3, 1))))
+    return cases
+
+
+def test_compact_defects_within_their_rounding_bound():
+    # the exact finite defects of x = T(b~) + C, with b~ and C read as exact
+    # Gaussian rationals, are the compact parts of the exact products a x and
+    # x a; every entry lies inside the window, and the computed R and L are
+    # within err of them in Frobenius norm
+    for a in _solve_cases():
+        b = a.symbol
+        m = max(8, 4 * b.bandwidth + 8)
+        binv = calculus._invert_symbol(b, 1e-9, [m, 2 * m, 4 * m])[0].value
+        xi = math.fsum(abs(v) for f in binv.bands.values() for v in f.values) * (1 + 1e-9)
+        exact_binv = bd_element(b.S, {n: ulc([_read_exact(v) for v in f.values])
+                                      for n, f in binv.bands.items()})
+        for C, cols, R, L, err in calculus._compact_solves(a, binv, xi, [16, 24]):
+            x = bdt(exact_binv, CompactMatrix({
+                (i, cols[j]): Scalar.from_fraction(Fraction(z.real), Fraction(z.imag))
+                for (i, j), z in np.ndenumerate(C) if z}))
+            right, left = bdt_mul(a, x).compact.entries, bdt_mul(x, a).compact.entries
+            assert all(i < len(R) and j in cols for i, j in right)
+            assert all(i < len(L) and j < len(L) for i, j in left)
+            for got, want, col in ((R, right, cols), (L, left, range(len(L)))):
+                sq = Fraction(0)
+                for (i, j), z in np.ndenumerate(got):
+                    re, im = want[(i, col[j])].gauss_parts() if (i, col[j]) in want else (0, 0)
+                    sq += (Fraction(z.real) - re) ** 2 + (Fraction(z.imag) - im) ** 2
+                assert sq <= Fraction(err) ** 2
+
+
+@pytest.mark.parametrize("case", range(8))
+def test_bdt_invert_residual_holds_on_a_dense_window(case):
+    # sigma_max of the exact a x - 1 on a window holding all of its compact
+    # part is at most ||a|| * residual_bound, ||a|| <= band-sup sum + ||c||_F;
+    # in the last case K_r has columns beyond the first size
+    sizes = [64, 128, 256]
+    if case < 7:
+        a = _solve_cases()[case]
+    else:
+        b = bd_add(bd_scalar(cp.DEFAULT_S, 2), bd_scale(Fraction(1, 2), bd_v(cp.DEFAULT_S, -1)))
+        a = bdt(b, k_scale(Fraction(1, 4), k_units(20, 20)))
+        sizes = [16, 32, 64]
+    cert = bdt_invert(a, 1e-6, sizes)
+    x = cert.value
+    if case == 7:
+        assert max(s for (_, s) in x.compact.entries) >= sizes[0]
+    exact = bdt(bd_element(x.S, {n: ulc([_read_exact(v) for v in f.values])
+                                 for n, f in x.symbol.bands.items()}),
+                CompactMatrix({k: _read_exact(v) for k, v in x.compact.entries.items()}))
+    defect = bdt_add(bdt_mul(a, exact), bdt_scale(-1, bdt_one(a.S)))
+    N = defect.compact.support_bound() + 2 * defect.symbol.bandwidth + 8
+    smax = np.linalg.svd(bdt_window_numpy(defect, N), compute_uv=False)[0]
+    c = a.compact
+    norm_a = (sum(ulc_sup_norm(f) for f in a.symbol.bands.values())
+              + float(np.linalg.norm(c.to_numpy(range(c.support_bound()), range(c.support_bound())))))
+    assert smax <= norm_a * cert.residual_bound

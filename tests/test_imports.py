@@ -1,6 +1,9 @@
 """Import hygiene: every module-level import in a bdtk module is used there."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,3 +25,15 @@ def test_module_level_imports_are_used(path):
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     unused = sorted(f"{name} (line {line})" for name, line in bound.items() if name not in used)
     assert not unused, f"unused imports in {path.name}: {', '.join(unused)}"
+
+
+def test_import_loads_no_scipy():
+    # scipy.linalg adds about 0.3 s to `import bdtk`, which every CLI call pays
+    # (setup_s in perfbench): the modules that use scipy import it lazily
+    src = str(Path(bdtk.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, bdtk; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, check=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
